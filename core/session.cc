@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "graph/connectivity.h"
@@ -28,6 +29,10 @@ bool ValidSlack(double d) { return std::isfinite(d) && d > 0.0 && d < 1.0; }
 }  // namespace
 
 Status Session::Validate(const SessionConfig& config) {
+  return Admit(config, nullptr);
+}
+
+Status Session::Admit(const SessionConfig& config, double* gap) {
   if (config.graph().num_nodes() == 0) {
     return Status::Error(StatusCode::kEmptyGraph,
                          "the communication graph has zero users");
@@ -45,14 +50,15 @@ Status Session::Validate(const SessionConfig& config) {
         "(got delta=" + std::to_string(config.delta()) +
             ", delta2=" + std::to_string(config.delta2()) + ")");
   }
+  const WalkErgodicity walk = ClassifyWalk(config.graph());
   if (!config.allow_non_ergodic()) {
-    if (!IsConnected(config.graph())) {
+    if (walk == WalkErgodicity::kDisconnected) {
       return Status::Error(
           StatusCode::kDisconnectedGraph,
           "the graph is disconnected: reports can never mix across "
           "components (SessionConfig::AllowNonErgodic overrides)");
     }
-    if (!IsErgodic(config.graph())) {
+    if (walk == WalkErgodicity::kBipartite) {
       return Status::Error(
           StatusCode::kNonErgodicGraph,
           "the graph is bipartite: the walk has no unique stationary limit "
@@ -79,11 +85,27 @@ Status Session::Validate(const SessionConfig& config) {
             std::to_string(config.shards()) +
             " shards with mmap-backed columns); shard or spill, not both");
   }
-  if (config.require_mixed_rounds() && config.rounds() > 0) {
-    // Costs a spectral estimate that Create's constructor repeats; the
-    // duplication is confined to this opt-in check.
-    const double gap = EstimateSpectralGap(config.graph()).gap;
-    const size_t floor = MixingTime(gap, config.graph().num_nodes());
+  const bool floor_check =
+      config.require_mixed_rounds() && config.rounds() > 0;
+  if (gap == nullptr && !floor_check) return Status::Ok();
+  // A non-ergodic walk (admitted by AllowNonErgodic) never mixes: its
+  // absolute gap is exactly 0, with nothing to estimate.
+  double resolved = 0.0;
+  if (walk == WalkErgodicity::kErgodic) {
+    const SpectralGapEstimate estimate = EstimateSpectralGap(config.graph());
+    if (!estimate.converged) {
+      char detail[64];
+      std::snprintf(detail, sizeof(detail), "%zu Lanczos steps (residual %.2e)",
+                    estimate.iterations, estimate.residual);
+      return Status::Error(
+          StatusCode::kSpectralGapUnresolved,
+          std::string("the spectral-gap estimate did not converge in ") +
+              detail + ": the walk mixes too slowly to certify a gap");
+    }
+    resolved = estimate.gap;
+  }
+  if (floor_check) {
+    const size_t floor = MixingTime(resolved, config.graph().num_nodes());
     if (config.rounds() < floor) {
       return Status::Error(
           StatusCode::kRoundsBelowMixingFloor,
@@ -92,6 +114,7 @@ Status Session::Validate(const SessionConfig& config) {
               std::to_string(floor));
     }
   }
+  if (gap != nullptr) *gap = resolved;
   return Status::Ok();
 }
 
@@ -102,7 +125,8 @@ Expected<Session> Session::Create(SessionConfig config) {
   // with (standalone Validate calls see only the explicit configuration).
   if (!config.shards_set()) config.SetShards(EnvShardCount());
   if (!config.transport_set()) config.SetTransport(EnvTransportKind());
-  Status status = Validate(config);
+  double gap = 0.0;
+  Status status = Admit(config, &gap);
   if (!status.ok()) return status;
 
   // Storage resolution (DESIGN.md §9).  Three cases:
@@ -143,10 +167,11 @@ Expected<Session> Session::Create(SessionConfig config) {
     if (!sealed.ok()) return sealed;
     config.SetPayloads(std::move(arena));
   }
-  return Session(std::move(config), std::move(backend));
+  return Session(std::move(config), std::move(backend), gap);
 }
 
-Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend)
+Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
+                 double gap)
     : graph_(config.ReleaseGraph()),
       protocol_(config.protocol()),
       epsilon0_(config.epsilon0()),
@@ -181,7 +206,7 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend)
   // walk state keyed on another session's graph address; invalidate
   // defensively.
   accountant_->OnTopologyChanged();
-  gap_ = EstimateSpectralGap(graph_).gap;
+  gap_ = gap;
   stationary_sum_squares_ = StationarySumSquares(graph_);
   mixing_rounds_ = MixingTime(gap_, graph_.num_nodes());
   rounds_fixed_ = config.rounds() > 0;
@@ -362,12 +387,12 @@ Status Session::Rewire(Graph graph) {
         .RequireMixedRounds(require_mixed_rounds_)
         .AllowNonErgodic(allow_non_ergodic_);
   }
-  const Status status = Validate(probe);
-  if (!status.ok()) return status;
-
   // Spectral work happens OUTSIDE the exclusive lock (it is O(n * walk)):
-  // readers keep answering against the old topology until the O(1) swap.
-  const double new_gap = EstimateSpectralGap(probe.graph()).gap;
+  // readers keep answering against the old topology until the O(1) swap,
+  // and a replacement that fails admission changes nothing.
+  double new_gap = 0.0;
+  const Status status = Admit(probe, &new_gap);
+  if (!status.ok()) return status;
   const double new_sss = StationarySumSquares(probe.graph());
   const size_t new_mixing = MixingTime(new_gap, probe.graph().num_nodes());
 

@@ -251,9 +251,14 @@ class Session {
   /// Validates `config` (see Validate) and builds the session: spectral gap,
   /// mixing time, rounds-policy resolution, report injection.  All
   /// configuration errors surface here, once, as typed Status values.
+  /// Fails closed with kSpectralGapUnresolved when the gap estimate does
+  /// not converge (graph/spectral.h): a certificate never rests on an
+  /// unverified gap.
   static Expected<Session> Create(SessionConfig config);
 
-  /// The checks Create performs, without building anything.
+  /// The checks Create performs, without building anything.  The gap
+  /// estimate runs here only for the RequireMixedRounds floor, so an
+  /// unresolved gap otherwise surfaces at Create.
   static Status Validate(const SessionConfig& config);
 
   Session(Session&&) = default;
@@ -460,11 +465,13 @@ class Session {
   ProtocolResult Run();
 
   /// Replaces the communication graph between steps (dynamic networks,
-  /// paper Section 4.5).  The replacement must pass the same validation and
-  /// carry the same node count (holdings are indexed by user).  Spectral
-  /// invariants and the mixing floor are recomputed, and a mixing-time
-  /// rounds policy re-resolves target_rounds() against the new topology
-  /// (an explicit SetRounds target is kept as configured); the executed
+  /// paper Section 4.5).  The replacement must pass the same validation,
+  /// including a converged gap estimate (kSpectralGapUnresolved otherwise),
+  /// and carry the same node count (holdings are indexed by user); a
+  /// failed Rewire changes nothing.  Spectral invariants and the mixing
+  /// floor are recomputed, and a mixing-time rounds policy re-resolves
+  /// target_rounds() against the new topology (an explicit SetRounds
+  /// target is kept as configured); the executed
   /// rounds and holdings are kept, and accountant caches are invalidated.
   /// Accounting after a rewire re-derives walk state on the current
   /// topology — an approximation the static theorems do not cover exactly
@@ -501,7 +508,15 @@ class Session {
   }
 
  private:
-  Session(SessionConfig config, std::shared_ptr<StorageBackend> backend);
+  Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
+          double gap);
+
+  /// Validate's checks.  With `gap` non-null it also resolves the walk's
+  /// absolute spectral gap, which Create and Rewire need: exactly 0 for a
+  /// non-ergodic graph that AllowNonErgodic admits, otherwise the
+  /// converged estimate.  The RequireMixedRounds floor check reuses that
+  /// one estimate.
+  static Status Admit(const SessionConfig& config, double* gap);
 
   /// A fresh pending arena: heap, or hosted on the session's backend.
   /// Stream-file creation on an established backend failing (disk gone

@@ -39,6 +39,11 @@ enum class StatusCode {
   /// Fixed rounds below the mixing floor alpha^-1 log n while
   /// SessionConfig::RequireMixedRounds is set.
   kRoundsBelowMixingFloor,
+  /// The spectral-gap estimate hit its iteration cap before its residual
+  /// test passed (graph/spectral.h): the gap, and with it the mixing time
+  /// and every stationary-bound certificate, would rest on an unverified
+  /// number, so the session refuses the graph instead.
+  kSpectralGapUnresolved,
   /// A replacement graph is incompatible with the running session
   /// (different node count).
   kGraphMismatch,
@@ -73,6 +78,8 @@ inline const char* StatusCodeName(StatusCode code) {
     case StatusCode::kZeroRounds: return "kZeroRounds";
     case StatusCode::kRoundsBelowMixingFloor:
       return "kRoundsBelowMixingFloor";
+    case StatusCode::kSpectralGapUnresolved:
+      return "kSpectralGapUnresolved";
     case StatusCode::kGraphMismatch: return "kGraphMismatch";
     case StatusCode::kEdgeEndpointOutOfRange:
       return "kEdgeEndpointOutOfRange";

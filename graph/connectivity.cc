@@ -1,6 +1,6 @@
 #include "graph/connectivity.h"
 
-#include <queue>
+#include <cstdint>
 
 namespace netshuffle {
 
@@ -29,14 +29,6 @@ std::vector<int> ConnectedComponents(const Graph& g) {
   return component;
 }
 
-bool IsConnected(const Graph& g) {
-  const auto c = ConnectedComponents(g);
-  for (int id : c) {
-    if (id != 0) return false;
-  }
-  return true;
-}
-
 bool IsBipartite(const Graph& g) {
   const size_t n = g.num_nodes();
   std::vector<int8_t> color(n, -1);
@@ -62,8 +54,34 @@ bool IsBipartite(const Graph& g) {
   return true;
 }
 
+WalkErgodicity ClassifyWalk(const Graph& g) {
+  const size_t n = g.num_nodes();
+  if (n == 0) return WalkErgodicity::kDisconnected;
+  std::vector<int8_t> color(n, -1);
+  std::vector<NodeId> stack{0};
+  color[0] = 0;
+  size_t reached = 1;
+  bool odd_cycle = false;
+  while (!stack.empty()) {
+    const NodeId u = stack.back();
+    stack.pop_back();
+    for (const NodeId* v = g.neighbors_begin(u); v != g.neighbors_end(u);
+         ++v) {
+      if (color[*v] == -1) {
+        color[*v] = static_cast<int8_t>(1 - color[u]);
+        stack.push_back(*v);
+        ++reached;
+      } else if (color[*v] == color[u]) {
+        odd_cycle = true;
+      }
+    }
+  }
+  if (reached < n) return WalkErgodicity::kDisconnected;
+  return odd_cycle ? WalkErgodicity::kErgodic : WalkErgodicity::kBipartite;
+}
+
 bool IsErgodic(const Graph& g) {
-  return g.num_nodes() > 0 && IsConnected(g) && !IsBipartite(g);
+  return ClassifyWalk(g) == WalkErgodicity::kErgodic;
 }
 
 }  // namespace netshuffle

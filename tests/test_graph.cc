@@ -35,16 +35,17 @@ int main() {
   CHECK(IsErgodic(torus));
   CHECK(IsBipartite(MakeTorus(8, 8)));
   CHECK(!IsErgodic(MakeTorus(8, 8)));
+  CHECK(ClassifyWalk(MakeTorus(8, 8)) == WalkErgodicity::kBipartite);
 
   // Circulant(n, k): k-regular and connected.
   Graph circ = MakeCirculant(101, 8);
   for (NodeId u = 0; u < circ.num_nodes(); ++u) CHECK(circ.degree(u) == 8);
-  CHECK(IsConnected(circ));
+  CHECK(ClassifyWalk(circ) == WalkErgodicity::kErgodic);
 
   // Barabasi-Albert: connected, right edge count shape.
   Graph ba = MakeBarabasiAlbert(3000, 4, &rng);
   CHECK(ba.num_nodes() == 3000);
-  CHECK(IsConnected(ba));
+  CHECK(ClassifyWalk(ba) != WalkErgodicity::kDisconnected);
   CHECK(ba.max_degree() > 20);  // heavy tail exists
 
   // Components: two disjoint triangles.
@@ -54,7 +55,10 @@ int main() {
   CHECK(comp[0] == comp[1] && comp[1] == comp[2]);
   CHECK(comp[3] == comp[4] && comp[4] == comp[5]);
   CHECK(comp[0] != comp[3]);
-  CHECK(!IsConnected(two));
+  CHECK(ClassifyWalk(two) == WalkErgodicity::kDisconnected);
+  // Disconnected wins over bipartite: two disjoint edges.
+  CHECK(ClassifyWalk(Graph::FromEdges(4, {{0, 1}, {2, 3}})) ==
+        WalkErgodicity::kDisconnected);
 
   // Edge-list IO round trip preserves structure, including isolated nodes.
   const char* path = "test_graph_roundtrip.edges";

@@ -1,7 +1,7 @@
 // The determinism guarantee of the parallel hot paths (DESIGN.md "Parallel
 // execution model"): for a fixed seed, the exchange engine, the Monte-Carlo
-// accountant, the walk step, and the spectral sweep are bit-identical at any
-// thread count.
+// accountant, the walk step, and the spectral estimate are bit-identical at
+// any thread count.
 
 #include <vector>
 
@@ -39,6 +39,9 @@ struct Snapshot {
   double mc_quantile = 0.0;
   double gap = 0.0;
   double lambda = 0.0;
+  double residual = 0.0;
+  size_t iterations = 0;
+  bool converged = false;
   std::vector<double> walk_p;
   double walk_sum_squares = 0.0;
 };
@@ -73,6 +76,9 @@ Snapshot RunAll(const Graph& g, size_t threads) {
   const auto sg = EstimateSpectralGap(g);
   s.gap = sg.gap;
   s.lambda = sg.lambda;
+  s.residual = sg.residual;
+  s.iterations = sg.iterations;
+  s.converged = sg.converged;
 
   PositionDistribution d(&g, 0);
   for (int i = 0; i < 6; ++i) d.LazyStep(i % 2 == 0 ? 0.0 : 0.25);
@@ -97,6 +103,9 @@ void CheckIdentical(const Snapshot& a, const Snapshot& b) {
   CHECK(a.mc_quantile == b.mc_quantile);
   CHECK(a.gap == b.gap);
   CHECK(a.lambda == b.lambda);
+  CHECK(a.residual == b.residual);
+  CHECK(a.iterations == b.iterations);
+  CHECK(a.converged == b.converged);
   CHECK(a.walk_sum_squares == b.walk_sum_squares);
   CHECK(a.walk_p.size() == b.walk_p.size());
   for (size_t v = 0; v < a.walk_p.size(); ++v) {
@@ -110,8 +119,12 @@ int main() {
   Rng rng(5);
   Graph regular = MakeRandomRegular(3000, 8, &rng);
   Graph skewed = MakeBarabasiAlbert(2000, 4, &rng);
+  // Slow mixers pin long Lanczos recurrences: C(401, {1, 2}) runs ~260
+  // steps, and the 101 x 99 torus as long over several reduction blocks.
+  Graph circulant = MakeCirculant(401, 4);
+  Graph torus = MakeTorus(101, 99);
 
-  for (const Graph* g : {&regular, &skewed}) {
+  for (const Graph* g : {&regular, &skewed, &circulant, &torus}) {
     const Snapshot t1 = RunAll(*g, 1);
     const Snapshot t2 = RunAll(*g, 2);
     const Snapshot t4 = RunAll(*g, 4);
@@ -126,6 +139,7 @@ int main() {
     // above it either.
     const Snapshot t64 = RunAll(*g, 64);
     CheckIdentical(t1, t64);
+    CHECK(t4.converged);
     CHECK(t4.mc_mean > 0.0);
     CHECK(t4.mc_mean <= t4.mc_quantile + 1e-12);
   }

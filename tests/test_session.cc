@@ -514,6 +514,48 @@ int main() {
                fresh.RawGuaranteeAt(10, 1.0).epsilon, 0.0);
   }
 
+  // ---- Fail closed on an unresolved spectral gap --------------------------
+  {
+    // C(5001, {1, 2}) has absolute gap 2.0e-6, too small for the Lanczos
+    // estimate to resolve within its iteration cap: no session certifies on
+    // it.
+    SessionConfig slow;
+    slow.SetGraph(MakeCirculant(5001, 4));
+    CHECK(CreateError(std::move(slow)) == StatusCode::kSpectralGapUnresolved);
+
+    // A Rewire onto it fails the same way and changes nothing.
+    Rng rng(41);
+    SessionConfig cfg;
+    cfg.SetGraph(MakeRandomRegular(5001, 8, &rng)).SetEpsilon0(1.0);
+    Session s = Session::Create(std::move(cfg)).value();
+    const double gap = s.spectral_gap();
+    const size_t mixing = s.mixing_rounds();
+    const size_t target = s.target_rounds();
+    CHECK(gap > 0.0);
+    CHECK(s.Step(2).ok());
+    CHECK(s.Rewire(MakeCirculant(5001, 4)).code() ==
+          StatusCode::kSpectralGapUnresolved);
+    CHECK(s.spectral_gap() == gap);
+    CHECK(s.mixing_rounds() == mixing);
+    CHECK(s.target_rounds() == target);
+    CHECK(s.current_round() == 2);
+    CHECK(s.graph().degree(0) == 8);
+
+    // AllowNonErgodic graphs still create, with gap exactly 0.
+    SessionConfig split;
+    split.SetGraph(Graph::FromEdges(
+                       6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}}))
+        .AllowNonErgodic();
+    Expected<Session> disconnected = Session::Create(std::move(split));
+    CHECK(disconnected.ok());
+    CHECK(disconnected.value().spectral_gap() == 0.0);
+    SessionConfig even;
+    even.SetGraph(MakeTorus(8, 8)).AllowNonErgodic();
+    Expected<Session> bipartite = Session::Create(std::move(even));
+    CHECK(bipartite.ok());
+    CHECK(bipartite.value().spectral_gap() == 0.0);
+  }
+
   // ---- Resume offset contract --------------------------------------------
   {
     // A first_round that disagrees with the executed rounds would silently

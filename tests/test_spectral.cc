@@ -1,6 +1,8 @@
 #include "graph/spectral.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/walk.h"
@@ -9,29 +11,106 @@
 
 using namespace netshuffle;
 
-int main() {
-  // Odd cycle C_n (circulant with k=2): eigenvalues cos(2 pi j / n), so the
-  // dominant non-trivial magnitude is |cos(pi (n-1)/n)| = cos(pi/n) — the
-  // near -1 end of the spectrum, which the *absolute* gap must capture.
-  const size_t n = 101;
-  Graph cycle = MakeCirculant(n, 2);
-  const auto est = EstimateSpectralGap(cycle, 20000, 1e-10);
-  const double expected =
-      std::cos(3.14159265358979323846 / static_cast<double>(n));
-  CHECK_NEAR(est.lambda, expected, 1e-3);
-  CHECK_NEAR(est.gap, 1.0 - expected, 1e-3);
+namespace {
 
-  // Complete-ish dense circulant mixes almost instantly: large gap.
+constexpr double kPi = 3.14159265358979323846;
+
+// Absolute gap of the circulant MakeCirculant(n, k) in closed form: its
+// walk eigenvalues are mean_{h=1..k/2} cos(2 pi j h / n), j = 1..n-1.
+double CirculantGap(size_t n, size_t k) {
+  double worst = 0.0;
+  for (size_t j = 1; j < n; ++j) {
+    double sum = 0.0;
+    for (size_t h = 1; h <= k / 2; ++h) {
+      sum += std::cos(2.0 * kPi * static_cast<double>(j * h) /
+                      static_cast<double>(n));
+    }
+    worst = std::max(worst, std::fabs(sum / static_cast<double>(k / 2)));
+  }
+  return 1.0 - worst;
+}
+
+// Absolute gap of the w x h torus: eigenvalues
+// (cos(2 pi a / w) + cos(2 pi b / h)) / 2 over (a, b) != (0, 0).
+double TorusGap(size_t w, size_t h) {
+  double worst = 0.0;
+  for (size_t a = 0; a < w; ++a) {
+    for (size_t b = 0; b < h; ++b) {
+      if (a == 0 && b == 0) continue;
+      const double lambda =
+          0.5 * (std::cos(2.0 * kPi * static_cast<double>(a) /
+                          static_cast<double>(w)) +
+                 std::cos(2.0 * kPi * static_cast<double>(b) /
+                          static_cast<double>(h)));
+      worst = std::max(worst, std::fabs(lambda));
+    }
+  }
+  return 1.0 - worst;
+}
+
+// The estimate converges, never exceeds the true gap, and stays within 1%
+// of it; its residual meets the relative tolerance it stopped on.
+SpectralGapEstimate CheckSound(const Graph& g, double true_gap) {
+  const SpectralGapEstimate est = EstimateSpectralGap(g);
+  CHECK(est.converged);
+  CHECK(est.gap <= true_gap);
+  CHECK(est.gap >= 0.99 * true_gap);
+  CHECK(est.residual <= 1e-3 * est.gap);
+  return est;
+}
+
+// Eq. 7 must dominate the exact collision mass of a walk from node 0 at
+// every round up to the mixing time the estimate implies.
+void CheckBoundDominates(const Graph& g, double gap) {
+  const double sss = StationarySumSquares(g);
+  const size_t t_mix = MixingTime(gap, g.num_nodes());
+  PositionDistribution d(&g, 0);
+  for (size_t t = 0; t <= t_mix; ++t) {
+    CHECK(SumSquaresBound(sss, gap, t) >= d.SumSquares());
+    d.Step();
+  }
+}
+
+}  // namespace
+
+int main() {
+  // ---- Soundness oracle on closed-form families ---------------------------
+  // The odd cycle's dominant eigenvalue is -cos(pi / n), the near -1 end
+  // that the *absolute* gap must capture; C(n, {1, 2}) and the odd torus
+  // mix slowly enough that a sweep approaching |lambda| from below
+  // overstates their gaps.
+  const Graph cycle = MakeCirculant(101, 2);
+  const Graph circulant = MakeCirculant(401, 4);
+  const Graph torus = MakeTorus(101, 99);
+  const SpectralGapEstimate cycle_est =
+      CheckSound(cycle, 1.0 - std::cos(kPi / 101.0));
+  CHECK_NEAR(cycle_est.lambda, std::cos(kPi / 101.0), 1e-6);
+  const SpectralGapEstimate circulant_est =
+      CheckSound(circulant, CirculantGap(401, 4));
+  const SpectralGapEstimate torus_est = CheckSound(torus, TorusGap(101, 99));
+  // Complete graph K_65: every non-trivial eigenvalue is -1/64, so the
+  // Krylov space closes after one step.
+  const SpectralGapEstimate complete =
+      CheckSound(MakeCirculant(65, 64), 1.0 - 1.0 / 64.0);
+  CHECK(complete.iterations <= 2);
+
+  CheckBoundDominates(cycle, cycle_est.gap);
+  CheckBoundDominates(circulant, circulant_est.gap);
+  CheckBoundDominates(torus, torus_est.gap);
+
+  // ---- Expanders ----------------------------------------------------------
   Graph dense = MakeCirculant(64, 62);
   CHECK(EstimateSpectralGap(dense).gap > 0.9);
 
   // Random 8-regular graphs are expanders: gap comfortably above the cycle's
-  // and below 1.
+  // and below 1, reached in far fewer steps than the slow families.
   Rng rng(3);
   Graph reg = MakeRandomRegular(4000, 8, &rng);
   const auto reg_est = EstimateSpectralGap(reg);
+  CHECK(reg_est.converged);
   CHECK(reg_est.gap > 0.15);
   CHECK(reg_est.gap < 1.0);
+  CHECK(reg_est.iterations < 300);
 
   // The estimated gap actually predicts mixing: after MixingTime rounds the
   // exact collision mass is within a constant of stationary.
@@ -41,8 +120,36 @@ int main() {
   CHECK(d.SumSquares() <
         2.0 / static_cast<double>(reg.num_nodes()));
 
-  // Bipartite graph: |lambda_n| = 1, so the absolute gap collapses to ~0.
-  Graph even_torus = MakeTorus(8, 8);
-  CHECK(EstimateSpectralGap(even_torus).gap < 0.05);
+  // A tighter relative tolerance costs steps and buys a smaller residual.
+  // The looser estimate was conservative: its Ritz value plus residual
+  // bounds every later Ritz value.
+  const auto tight = EstimateSpectralGap(reg, 3000, 1e-6);
+  CHECK(tight.converged);
+  CHECK(tight.iterations > reg_est.iterations);
+  CHECK(tight.residual <= 1e-6 * tight.gap);
+  CHECK(tight.gap + tight.residual >= reg_est.gap);
+
+  // ---- Gap 0 and the iteration cap ----------------------------------------
+  // Bipartite: a Ritz value reaches -1.  Disconnected: one reaches +1.
+  const auto bipartite = EstimateSpectralGap(MakeTorus(8, 8));
+  CHECK(bipartite.converged);
+  CHECK(bipartite.gap == 0.0);
+  const auto split = EstimateSpectralGap(
+      Graph::FromEdges(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}}));
+  CHECK(split.converged);
+  CHECK(split.gap == 0.0);
+
+  // An isolated node carries no weight: a triangle beside one keeps the
+  // triangle's gap, 1 - 1/2.
+  const auto lone =
+      EstimateSpectralGap(Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 0}}));
+  CHECK(lone.converged);
+  CHECK_NEAR(lone.gap, 0.5, 1e-12);
+
+  // A capped run reports that it did not converge.
+  const auto capped = EstimateSpectralGap(MakeCirculant(2001, 4), 50);
+  CHECK(!capped.converged);
+  CHECK(capped.iterations == 50);
+  CHECK(capped.residual > 1e-3 * capped.gap);
   return 0;
 }
