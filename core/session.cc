@@ -1,6 +1,5 @@
 #include "core/session.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -72,19 +71,6 @@ Status Session::Admit(const SessionConfig& config, double* gap) {
         config.payloads().ValidateOnePerUser(config.graph().num_nodes());
     if (!one_per_user.ok()) return one_per_user;
   }
-  if (config.shards() > 1 &&
-      (config.storage().kind == StorageBackendKind::kMmap ||
-       (config.has_payloads() && config.payloads().hosted()))) {
-    // The out-of-core tier (DESIGN.md §9) and the multi-process tier
-    // (DESIGN.md §11) are separate scaling axes: a forked shard worker
-    // cannot splice into a parent-owned mmap column.  Reported here as a
-    // typed error instead of the engine-level fatal.
-    return Status::Error(
-        StatusCode::kInvalidArgument,
-        "shards > 1 requires the default in-RAM storage (got " +
-            std::to_string(config.shards()) +
-            " shards with mmap-backed columns); shard or spill, not both");
-  }
   const bool floor_check =
       config.require_mixed_rounds() && config.rounds() > 0;
   if (gap == nullptr && !floor_check) return Status::Ok();
@@ -119,12 +105,6 @@ Status Session::Admit(const SessionConfig& config, double* gap) {
 }
 
 Expected<Session> Session::Create(SessionConfig config) {
-  // Sharding knobs resolve HERE, once: an explicit SetShards/SetTransport
-  // wins, otherwise the NS_SHARDS / NS_TRANSPORT environment decides — so
-  // the Validate below checks the values the session will actually run
-  // with (standalone Validate calls see only the explicit configuration).
-  if (!config.shards_set()) config.SetShards(EnvShardCount());
-  if (!config.transport_set()) config.SetTransport(EnvTransportKind());
   double gap = 0.0;
   Status status = Admit(config, &gap);
   if (!status.ok()) return status;
@@ -184,8 +164,6 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
       metrics_(config.metrics()),
       allow_non_ergodic_(config.allow_non_ergodic()),
       require_mixed_rounds_(config.require_mixed_rounds()),
-      shards_(std::max<size_t>(1, config.shards())),
-      transport_(config.transport()),
       backend_(std::move(backend)),
       // graph_ is initialized (and config's graph moved out) above, so the
       // cached population reads the adopted member.
@@ -254,21 +232,7 @@ Status Session::Step(size_t k) {
   opts.seed = epoch_seed_;
   opts.faults = faults_;
   opts.metrics = metrics_;
-  if (shards_ > 1) {
-    // The sharded engine (DESIGN.md §11), bit-identical to the serial path
-    // below for any shard count and either transport.  A transport failure
-    // (peer death, framing corruption) comes back as a typed
-    // kTransportError with state_ UNTOUCHED: the epoch keeps serving and
-    // the caller may retry the same Step.
-    ShardedOptions sharded;
-    sharded.shards = shards_;
-    sharded.transport = transport_;
-    const Status advanced =
-        ShardedResumeExchange(graph_, &state_, opts, sharded, &sharded_stats_);
-    if (!advanced.ok()) return advanced;
-  } else {
-    state_ = ResumeExchange(graph_, std::move(state_), opts, &exchange_ws_);
-  }
+  state_ = ResumeExchange(graph_, std::move(state_), opts, &exchange_ws_);
   // Publish AFTER the exchange lands: a reader that observes the new round
   // count may immediately certify a guarantee at it.
   sync_->progress.store(PackProgress(epoch_, state_.rounds),

@@ -51,8 +51,6 @@
 #include "shuffle/engine.h"
 #include "shuffle/payload.h"
 #include "shuffle/protocol.h"
-#include "shuffle/sharded.h"
-#include "shuffle/transport.h"
 #include "util/annotations.h"
 #include "util/sync.h"
 
@@ -121,30 +119,6 @@ class SessionConfig {
   /// population.  Create surfaces directory/file failures as kIoError.
   SessionConfig& SetStorage(StorageBackendConfig storage) {
     storage_ = std::move(storage);
-    return *this;
-  }
-
-  /// Worker count for the sharded exchange (DESIGN.md §11).  0 (the
-  /// default) resolves from the NS_SHARDS environment knob at Create; an
-  /// explicit value >= 1 overrides the environment.  With shards > 1 every
-  /// Step runs ShardedResumeExchange — partitioned rounds over the
-  /// configured transport, bit-identical to the serial engine — and
-  /// Session::sharded_stats() accumulates the communication cost.  Requires
-  /// the default in-RAM storage: shards > 1 combined with kMmap storage (or
-  /// hosted payloads) is a typed kInvalidArgument at Create/Validate — the
-  /// out-of-core tier and the multi-process tier are separate scaling axes.
-  SessionConfig& SetShards(size_t shards) {
-    shards_ = shards;
-    shards_set_ = true;
-    return *this;
-  }
-
-  /// Transport behind the sharded exchange (default: resolve NS_TRANSPORT
-  /// at Create, falling back to in-process loopback).  Ignored at
-  /// shards <= 1 — the seam costs nothing when unused.
-  SessionConfig& SetTransport(TransportKind transport) {
-    transport_ = transport;
-    transport_set_ = true;
     return *this;
   }
 
@@ -217,12 +191,6 @@ class SessionConfig {
   bool allow_non_ergodic() const { return allow_non_ergodic_; }
   bool require_mixed_rounds() const { return require_mixed_rounds_; }
   const StorageBackendConfig& storage() const { return storage_; }
-  /// 0 until SetShards or Create's NS_SHARDS resolution (Validate treats
-  /// 0 as serial).
-  size_t shards() const { return shards_; }
-  bool shards_set() const { return shards_set_; }
-  TransportKind transport() const { return transport_; }
-  bool transport_set() const { return transport_set_; }
 
  private:
   Graph graph_;
@@ -230,10 +198,6 @@ class SessionConfig {
   StorageBackendConfig storage_;
   ReportingProtocol protocol_ = ReportingProtocol::kAll;
   size_t rounds_ = 0;
-  size_t shards_ = 0;
-  bool shards_set_ = false;
-  TransportKind transport_ = TransportKind::kLoopback;
-  bool transport_set_ = false;
   double epsilon0_ = 1.0;
   std::string mechanism_name_ = "unspecified";
   double delta_ = 0.5e-6;
@@ -360,20 +324,6 @@ class Session {
   /// files (removed when the last owner — session, in-flight results —
   /// goes away).
   const StorageBackend* storage_backend() const { return backend_.get(); }
-  /// Sharded-exchange operating point (DESIGN.md §11): worker count (1 ==
-  /// the serial engine) and transport, resolved once at Create from the
-  /// config or the NS_SHARDS / NS_TRANSPORT knobs.  Immutable for the
-  /// session's life, so reader-safe without any lock.
-  size_t shards() const { return shards_; }
-  TransportKind transport() const { return transport_; }
-  /// Communication-cost counters accumulated across every sharded Step
-  /// (all-zero while shards() == 1: a serial exchange puts nothing on the
-  /// wire).  Mutator-thread only: Step writes these (runtime-asserted via
-  /// the mutator role).
-  const ShardedStats& sharded_stats() const {
-    sync_->AssertQuiescent("Session::sharded_stats");
-    return sharded_stats_;
-  }
   double epsilon0() const { return epsilon0_; }
   const std::string& mechanism_name() const { return mechanism_name_; }
   ReportingProtocol protocol() const { return protocol_; }
@@ -584,10 +534,6 @@ class Session {
   ShuffleMetrics* metrics_ = nullptr;
   bool allow_non_ergodic_ = false;
   bool require_mixed_rounds_ = false;
-  /// Resolved at Create (config value, else NS_SHARDS / NS_TRANSPORT);
-  /// immutable afterwards, so reader accessors need no lock.
-  size_t shards_ = 1;
-  TransportKind transport_ = TransportKind::kLoopback;
 
   /// Non-null iff the session's columns are file-backed (DESIGN.md §9).
   /// Shared with every hosted arena/store, so the tmpdir outlives any
@@ -611,9 +557,6 @@ class Session {
   /// paying an O(shards * n) allocation per call.  Scratch only — reuse
   /// across epochs and rewires cannot change results.
   ExchangeWorkspace exchange_ws_ NS_GUARDED_BY(sync_->mutator);
-  /// Cross-shard communication cost summed over every sharded Step
-  /// (shuffle/sharded.h; stays zero at shards_ == 1).
-  ShardedStats sharded_stats_ NS_GUARDED_BY(sync_->mutator);
   /// Serving epoch index mirrored into sync_->progress (mutator's copy;
   /// structure-guarded because Step reads it while readers may be
   /// re-certifying against the same fields BeginEpoch swaps).

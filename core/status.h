@@ -59,10 +59,6 @@ enum class StatusCode {
   /// missing/unreadable/shorter than its column requires
   /// (shuffle/backend.h).
   kIoError,
-  /// A cross-shard transport failure: short read, framing/checksum
-  /// mismatch, or peer death mid-exchange (shuffle/wire.h,
-  /// shuffle/transport.h).
-  kTransportError,
   /// Anything else (bad accountant parameters, ...).
   kInvalidArgument,
 };
@@ -85,7 +81,6 @@ inline const char* StatusCodeName(StatusCode code) {
       return "kEdgeEndpointOutOfRange";
     case StatusCode::kPayloadMismatch: return "kPayloadMismatch";
     case StatusCode::kIoError: return "kIoError";
-    case StatusCode::kTransportError: return "kTransportError";
     case StatusCode::kInvalidArgument: return "kInvalidArgument";
   }
   return "kUnknown";

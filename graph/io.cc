@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 namespace netshuffle {
@@ -23,12 +24,15 @@ bool LoadEdgeList(const std::string& path, Graph* out) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) return false;
   size_t n = 0, m = 0;
-  if (std::fscanf(f, "# netshuffle-edgelist %zu %zu\n", &n, &m) != 2) {
+  // The header is untrusted: a node count past the NodeId range names no
+  // graph this library can build, and the edge count is only checked
+  // against the edges actually read, so nothing is sized from it.
+  if (std::fscanf(f, "# netshuffle-edgelist %zu %zu\n", &n, &m) != 2 ||
+      n > std::numeric_limits<NodeId>::max()) {
     std::fclose(f);
     return false;
   }
   std::vector<Edge> edges;
-  edges.reserve(m);
   uint32_t u = 0, v = 0;
   while (std::fscanf(f, "%" SCNu32 " %" SCNu32, &u, &v) == 2) {
     if (u >= n || v >= n) {

@@ -1,17 +1,33 @@
-// ChaCha20-Poly1305 (RFC 8439), written against the RFC's vectors (pinned
-// by tests/test_pki.cc).  Scalar throughout: the onion wrap seals a few
-// hundred bytes per hop, so batched/SIMD crypto would be noise next to the
-// exchange itself.  Byte I/O goes through shuffle/wire.h's little-endian
-// helpers — no struct punning, no host-endianness assumptions.
+// ChaCha20-Poly1305 (RFC 8439), checked against known answers built from
+// the RFC's section 2.8.2 inputs (tests/test_pki.cc).  Scalar throughout:
+// the onion wrap seals a few hundred bytes per hop, so batched/SIMD crypto
+// would be noise next to the exchange itself.  Byte I/O is little-endian
+// shifts (GetU32/PutU32/PutU64 below) — no struct punning, no
+// host-endianness assumptions.
 
 #include "shuffle/aead.h"
 
-#include "shuffle/wire.h"
 #include "util/rng.h"
 
 namespace netshuffle {
 
 namespace {
+
+inline uint32_t GetU32(const uint8_t* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
+}
+
+inline void PutU32(uint8_t* p, uint32_t v) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+  p[2] = static_cast<uint8_t>(v >> 16);
+  p[3] = static_cast<uint8_t>(v >> 24);
+}
+
+inline void PutU64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
 
 inline uint32_t Rotl32(uint32_t x, int n) {
   return (x << n) | (x >> (32 - n));
@@ -45,7 +61,7 @@ void ChaCha20Block(const uint32_t key_words[8], uint32_t counter,
     QuarterRound(x[2], x[7], x[8], x[13]);
     QuarterRound(x[3], x[4], x[9], x[14]);
   }
-  for (int i = 0; i < 16; ++i) wire::PutU32(out + 4 * i, x[i] + s[i]);
+  for (int i = 0; i < 16; ++i) PutU32(out + 4 * i, x[i] + s[i]);
 }
 
 /// XORs the ChaCha20 keystream (starting at block `counter`) into
@@ -68,11 +84,11 @@ void ChaCha20Xor(const uint32_t key_words[8], uint32_t counter,
 /// 2^130 - 5 per 16-byte block, then tag = h + s mod 2^128).
 void Poly1305Mac(const uint8_t otk[32], const uint8_t* m, size_t n,
                  uint8_t tag[16]) {
-  const uint32_t r0 = wire::GetU32(otk + 0) & 0x3ffffffu;
-  const uint32_t r1 = (wire::GetU32(otk + 3) >> 2) & 0x3ffff03u;
-  const uint32_t r2 = (wire::GetU32(otk + 6) >> 4) & 0x3ffc0ffu;
-  const uint32_t r3 = (wire::GetU32(otk + 9) >> 6) & 0x3f03fffu;
-  const uint32_t r4 = (wire::GetU32(otk + 12) >> 8) & 0x00fffffu;
+  const uint32_t r0 = GetU32(otk + 0) & 0x3ffffffu;
+  const uint32_t r1 = (GetU32(otk + 3) >> 2) & 0x3ffff03u;
+  const uint32_t r2 = (GetU32(otk + 6) >> 4) & 0x3ffc0ffu;
+  const uint32_t r3 = (GetU32(otk + 9) >> 6) & 0x3f03fffu;
+  const uint32_t r4 = (GetU32(otk + 12) >> 8) & 0x00fffffu;
   const uint32_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
 
   uint32_t h0 = 0, h1 = 0, h2 = 0, h3 = 0, h4 = 0;
@@ -83,11 +99,11 @@ void Poly1305Mac(const uint8_t otk[32], const uint8_t* m, size_t n,
     const uint32_t hibit = take == 16 ? (1u << 24) : 0;
     if (take < 16) block[take] = 1;
 
-    h0 += wire::GetU32(block + 0) & 0x3ffffffu;
-    h1 += (wire::GetU32(block + 3) >> 2) & 0x3ffffffu;
-    h2 += (wire::GetU32(block + 6) >> 4) & 0x3ffffffu;
-    h3 += (wire::GetU32(block + 9) >> 6) & 0x3ffffffu;
-    h4 += (wire::GetU32(block + 12) >> 8) | hibit;
+    h0 += GetU32(block + 0) & 0x3ffffffu;
+    h1 += (GetU32(block + 3) >> 2) & 0x3ffffffu;
+    h2 += (GetU32(block + 6) >> 4) & 0x3ffffffu;
+    h3 += (GetU32(block + 9) >> 6) & 0x3ffffffu;
+    h4 += (GetU32(block + 12) >> 8) | hibit;
 
     const uint64_t d0 = static_cast<uint64_t>(h0) * r0 +
                         static_cast<uint64_t>(h1) * s4 +
@@ -160,16 +176,16 @@ void Poly1305Mac(const uint8_t otk[32], const uint8_t* m, size_t n,
 
   // ns-lint: allow(narrow32): deliberate mod-2^32 tag words — the Poly1305
   // pad addition drops the carry out of each word by specification
-  uint64_t f = static_cast<uint64_t>(hh0) + wire::GetU32(otk + 16);
-  wire::PutU32(tag + 0, static_cast<uint32_t>(f));
-  f = static_cast<uint64_t>(hh1) + wire::GetU32(otk + 20) + (f >> 32);
+  uint64_t f = static_cast<uint64_t>(hh0) + GetU32(otk + 16);
+  PutU32(tag + 0, static_cast<uint32_t>(f));
+  f = static_cast<uint64_t>(hh1) + GetU32(otk + 20) + (f >> 32);
   // ns-lint: allow(narrow32): same mod-2^32 tag-word truncation as above
-  wire::PutU32(tag + 4, static_cast<uint32_t>(f));
-  f = static_cast<uint64_t>(hh2) + wire::GetU32(otk + 24) + (f >> 32);
-  wire::PutU32(tag + 8, static_cast<uint32_t>(f));
-  f = static_cast<uint64_t>(hh3) + wire::GetU32(otk + 28) + (f >> 32);
+  PutU32(tag + 4, static_cast<uint32_t>(f));
+  f = static_cast<uint64_t>(hh2) + GetU32(otk + 24) + (f >> 32);
+  PutU32(tag + 8, static_cast<uint32_t>(f));
+  f = static_cast<uint64_t>(hh3) + GetU32(otk + 28) + (f >> 32);
   // ns-lint: allow(narrow32): same mod-2^32 tag-word truncation as above
-  wire::PutU32(tag + 12, static_cast<uint32_t>(f));
+  PutU32(tag + 12, static_cast<uint32_t>(f));
 }
 
 struct NoncedKey {
@@ -180,7 +196,7 @@ struct NoncedKey {
 NoncedKey Expand(const AeadKey& key, uint64_t nonce, uint32_t layer) {
   NoncedKey nk;
   for (int i = 0; i < 8; ++i) {
-    nk.key_words[i] = wire::GetU32(key.bytes.data() + 4 * i);
+    nk.key_words[i] = GetU32(key.bytes.data() + 4 * i);
   }
   // ns-lint: allow(narrow32): deliberate 64->2x32 split of the message
   // nonce into the RFC 8439 96-bit nonce words — no information lost
@@ -204,8 +220,8 @@ void ComputeTag(const NoncedKey& nk, const uint8_t* ct, size_t n,
   mac_data.resize(((n + 15) / 16) * 16, 0);
   const size_t len_at = mac_data.size();
   mac_data.resize(len_at + 16, 0);
-  wire::PutU64(mac_data.data() + len_at, 0);  // aad length (no AAD)
-  wire::PutU64(mac_data.data() + len_at + 8, static_cast<uint64_t>(n));
+  PutU64(mac_data.data() + len_at, 0);  // aad length (no AAD)
+  PutU64(mac_data.data() + len_at + 8, static_cast<uint64_t>(n));
 
   Poly1305Mac(block0, mac_data.data(), mac_data.size(), tag);
 }
@@ -216,7 +232,7 @@ AeadKey DeriveAeadKey(uint64_t seed, uint64_t id) {
   AeadKey key;
   uint64_t state = HashCombine(seed ^ 0x41454144u /* "AEAD" */, id);
   for (int i = 0; i < 4; ++i) {
-    wire::PutU64(key.bytes.data() + 8 * i, SplitMix64(&state));
+    PutU64(key.bytes.data() + 8 * i, SplitMix64(&state));
   }
   return key;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "shuffle/engine_internal.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -48,9 +47,8 @@ constexpr size_t kMaxRoutingShards = 32;
 // holding is ~1 report, so a tile is a few tens of KB; skewed holdings —
 // a hub on a star-like graph — just grow the per-report columns to fit).
 // Tiling is scheduling-only and never splits one user's draw sequence
-// across fills.  The value is published to the sharded engine through
-// shuffle/engine_internal.h (its workers size the same tile buffers).
-constexpr uint32_t kCoinTile = engine_internal::kHopTileHolders;
+// across fills.
+constexpr uint32_t kCoinTile = 4096;
 
 // Software-prefetch lookahead for the dependent random accesses (scatter
 // cursor claims and arena placements).  The tables are O(n) and miss L1/L2
@@ -142,14 +140,6 @@ void FaultHopShard(const Graph& g, const ExchangeOptions& options,
   }
 }
 
-}  // namespace
-
-// The hop and scatter kernels are shared with the sharded engine
-// (shuffle/sharded.cc) through shuffle/engine_internal.h — the sharded
-// workers run them unmodified over their contiguous user ranges, which is
-// what makes the bit-identity argument a pure placement-order argument.
-namespace engine_internal {
-
 // One source shard's hop pass for one round, over its slice of the round's
 // holder list (users with at least one held report, in ascending user
 // order — built branchlessly by the prefix pass; see ResumeExchange).
@@ -169,7 +159,9 @@ namespace engine_internal {
 //       this shard's counting row (DerefHist above).
 // The coin schedule and the per-slice draw order are exactly the scalar
 // engine's, so determinism is untouched (DESIGN.md §4e; pinned by
-// tests/test_kernel_differential.cc).
+// tests/test_kernel_differential.cc).  The shard's counting row is zeroed
+// on entry; streams/firsts/multi hold kCoinTile entries, and the coin and
+// address tiles grow on demand.
 void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
               size_t h_begin, size_t h_end, const uint32_t* holder_v,
               const uint32_t* holder_b, uint32_t* count, size_t n,
@@ -274,7 +266,9 @@ void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
 // claimed slots (random write, prefetched).  Splitting claim from placement
 // is what makes the placement address known kPrefetchAhead iterations early
 // — the scalar engine's fused cursor[dests[i]]++ write had nothing to
-// prefetch.  Slot assignment is identical either way.
+// prefetch.  Slot assignment is identical either way.  The cursor row must
+// already hold each destination's first slot for this shard (the prefix
+// pass).
 void ScatterShard(uint32_t* cursor, uint32_t begin, uint32_t end,
                   uint32_t* dests, const ReportId* arena,
                   ReportId* next_arena) {
@@ -295,7 +289,7 @@ void ScatterShard(uint32_t* cursor, uint32_t begin, uint32_t end,
   }
 }
 
-}  // namespace engine_internal
+}  // namespace
 
 size_t ExchangeWorkspace::MemoryBytes() const {
   size_t bytes = next_.MemoryBytes() +
@@ -551,11 +545,11 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     // class address mapping, and per-shard destination histograms — see
     // HopShard above and DESIGN.md §4e.
     GlobalPool().RunChunks(shards, [&](size_t c) {
-      engine_internal::HopShard(
-          g, options, round, ws.holder_start_[c], ws.holder_start_[c + 1],
-          holder_v, holder_b, ws.counts_.data() + c * n, n, dests,
-          ws.streams_[c].data(), ws.firsts_[c].data(), ws.multi_[c].data(),
-          &ws.coins_[c], &ws.addrs_[c], &ws.traffic_[c]);
+      HopShard(g, options, round, ws.holder_start_[c], ws.holder_start_[c + 1],
+               holder_v, holder_b, ws.counts_.data() + c * n, n, dests,
+               ws.streams_[c].data(), ws.firsts_[c].data(),
+               ws.multi_[c].data(), &ws.coins_[c], &ws.addrs_[c],
+               &ws.traffic_[c]);
     });
 
     // Prefix pass (coordinating thread): one running sum over destinations,
@@ -595,10 +589,8 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     // slot order reproduces the serial schedule exactly.
     ReportId* next_arena = ws.next_.mutable_arena();
     GlobalPool().RunChunks(shards, [&](size_t c) {
-      engine_internal::ScatterShard(ws.counts_.data() + c * n,
-                                    offsets[bounds[c]],
-                                    offsets[bounds[c + 1]], dests, arena,
-                                    next_arena);
+      ScatterShard(ws.counts_.data() + c * n, offsets[bounds[c]],
+                   offsets[bounds[c + 1]], dests, arena, next_arena);
     });
     store.SwapWith(&ws.next_);
     num_holders = next_holders;

@@ -125,7 +125,7 @@ class PayloadArena {
   ReportId AppendScalar(NodeId origin, double value) {
     uint8_t buf[sizeof(double)];
     // ns-lint: allow(wire): host-order typed-payload encode — arena columns
-    // never cross a process boundary (the sharded exchange ships report IDS)
+    // never cross a process boundary (the exchange routes report ids)
     std::memcpy(buf, &value, sizeof(double));
     return Append(origin, buf, sizeof(buf));
   }

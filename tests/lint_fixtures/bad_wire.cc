@@ -1,7 +1,7 @@
 // ns-lint-fixture: as=shuffle/bad_wire.cc expects=wire,wire
-// Known-bad: ad-hoc struct serialization in shuffle/ that bypasses the
-// checked little-endian framing layer (shuffle/wire.h) — exactly what the
-// sharded transport bans.  Both the memcpy and the reinterpret_cast fire.
+// Known-bad: ad-hoc struct serialization in shuffle/ instead of explicit
+// little-endian shifts — endian- and padding-fragile bytes.  Both the
+// memcpy and the reinterpret_cast fire.
 #include <cstdint>
 #include <cstring>
 

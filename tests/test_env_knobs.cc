@@ -1,13 +1,11 @@
 // Parsing of the harness environment knobs: NS_THREADS (thread pool width),
-// NS_SCALE (dataset scale), NS_BACKEND (storage tier), NS_SHARDS (sharded
-// exchange worker count), and NS_TRANSPORT (the shard transport).  Warnings
-// go to stderr; the parsed value is what matters here.
+// NS_SCALE (dataset scale), and NS_BACKEND (storage tier).  Warnings go to
+// stderr; the parsed value is what matters here.
 
 #include <cstdlib>
 
 #include "bench/experiment_common.h"
 #include "shuffle/backend.h"
-#include "shuffle/transport.h"
 #include "tests/test_util.h"
 #include "util/parallel.h"
 
@@ -40,24 +38,6 @@ StorageBackendKind BackendWith(const char* value) {
     setenv("NS_BACKEND", value, 1);
   }
   return EnvBackendKind();
-}
-
-size_t ShardsWith(const char* value) {
-  if (value == nullptr) {
-    unsetenv("NS_SHARDS");
-  } else {
-    setenv("NS_SHARDS", value, 1);
-  }
-  return EnvShardCount();
-}
-
-TransportKind TransportWith(const char* value) {
-  if (value == nullptr) {
-    unsetenv("NS_TRANSPORT");
-  } else {
-    setenv("NS_TRANSPORT", value, 1);
-  }
-  return EnvTransportKind();
 }
 
 }  // namespace
@@ -116,31 +96,5 @@ int main() {
   CHECK(BackendWith("MMAP") == StorageBackendKind::kInRam);  // exact match
   CHECK(BackendWith("disk") == StorageBackendKind::kInRam);
   unsetenv("NS_BACKEND");
-
-  // NS_SHARDS: unset / empty / 0 / 1 all mean serial (one shard), 2..64 are
-  // honored, beyond the relay cap clamps, garbage warns back to serial.
-  CHECK(ShardsWith(nullptr) == 1);
-  CHECK(ShardsWith("") == 1);
-  CHECK(ShardsWith("0") == 1);
-  CHECK(ShardsWith("1") == 1);
-  CHECK(ShardsWith("2") == 2);
-  CHECK(ShardsWith("64") == kMaxTransportShards);
-  CHECK(ShardsWith("100") == kMaxTransportShards);
-  CHECK(ShardsWith("-3") == 1);
-  CHECK(ShardsWith("abc") == 1);
-  CHECK(ShardsWith("4x") == 1);
-  CHECK(ShardsWith("2.5") == 1);
-  unsetenv("NS_SHARDS");
-
-  // NS_TRANSPORT: unset / empty / "loopback" mean the in-process pool,
-  // "process" forks real workers, anything else warns back to loopback
-  // (exact match, same convention as NS_BACKEND).
-  CHECK(TransportWith(nullptr) == TransportKind::kLoopback);
-  CHECK(TransportWith("") == TransportKind::kLoopback);
-  CHECK(TransportWith("loopback") == TransportKind::kLoopback);
-  CHECK(TransportWith("process") == TransportKind::kProcess);
-  CHECK(TransportWith("PROCESS") == TransportKind::kLoopback);
-  CHECK(TransportWith("tcp") == TransportKind::kLoopback);
-  unsetenv("NS_TRANSPORT");
   return 0;
 }

@@ -75,6 +75,25 @@ int main() {
   Graph missing;
   CHECK(!LoadEdgeList("does_not_exist.edges", &missing));
 
+  // Crafted headers fail the load instead of aborting the process: an edge
+  // count of 2^60 that no reserve() could honour, and node counts past the
+  // 32-bit NodeId range (2^40 and 2^32 + 1).  The output graph is left as
+  // it was.
+  for (const char* header : {"# netshuffle-edgelist 2 1152921504606846976\n",
+                             "# netshuffle-edgelist 1099511627776 0\n",
+                             "# netshuffle-edgelist 4294967297 0\n"}) {
+    const char* crafted = "test_graph_crafted.edges";
+    std::FILE* f = std::fopen(crafted, "w");
+    CHECK(f != nullptr);
+    CHECK(std::fputs(header, f) >= 0);
+    CHECK(std::fclose(f) == 0);
+    Graph kept = Graph::FromEdges(3, {{0, 1}, {1, 2}, {2, 0}});
+    CHECK(!LoadEdgeList(crafted, &kept));
+    CHECK(kept.num_nodes() == 3);
+    CHECK(kept.num_edges() == 3);
+    std::remove(crafted);
+  }
+
   // Regression: endpoints >= n used to corrupt the CSR offsets silently
   // (out-of-bounds writes).  The typed validator names the offender...
   CHECK(Graph::ValidateEdges(5, {{0, 1}, {1, 4}}).ok());

@@ -12,8 +12,9 @@
 //     classes, including the deg-pair fast paths),
 //   - Barabasi-Albert power-law tails (m in {1, 2, 5, 8}),
 //   - graphs with isolated users (the deg == 0 keep-in-place path),
-//   - n == 1 and a 6000-leaf star whose hub accumulates far more than one
-//     coin tile (kCoinTile = 4096) of reports — the grown-tile path,
+//   - n == 1, a triangle (fewer users than threads: the shard clamp), and a
+//     6000-leaf star whose hub accumulates far more than one coin tile
+//     (kCoinTile = 4096) of reports — the grown-tile path,
 //   - fault schedules (LazyFaultModel: Awake consumes stream draws) and
 //     fault-free runs (the batched FirstRawDraw/FillStreamRaw fast path),
 //
@@ -262,6 +263,13 @@ int main() {
     }
     SetThreadCount(0);
     std::printf("ok: resume-split 1+7+5 rounds, faults=yes\n");
+  }
+
+  // Fewer users than pool slots: at 4 threads the routing shards clamp to
+  // the 3 users, one user per shard.
+  {
+    const Graph g = Graph::FromEdges(3, {{0, 1}, {1, 2}, {2, 0}});
+    RunCase("triangle", g, /*rounds=*/5, meta.Next(), nullptr, &ws, backend);
   }
   return 0;
 }

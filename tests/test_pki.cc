@@ -1,6 +1,7 @@
 #include "shuffle/pki.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -10,6 +11,21 @@
 
 using namespace netshuffle;
 using netshuffle_test::ExpectDeath;
+
+namespace {
+
+Bytes FromHex(const char* hex) {
+  Bytes out;
+  for (const char* p = hex; p[0] != '\0' && p[1] != '\0'; p += 2) {
+    auto nibble = [](char c) {
+      return static_cast<uint8_t>(c <= '9' ? c - '0' : c - 'a' + 10);
+    };
+    out.push_back(static_cast<uint8_t>(nibble(p[0]) << 4 | nibble(p[1])));
+  }
+  return out;
+}
+
+}  // namespace
 
 int main() {
   // ---- AEAD seal/open round-trip ------------------------------------------
@@ -39,6 +55,54 @@ int main() {
   CHECK(AeadSeal(key, 42, 1, msg) == sealed);
   CHECK(AeadSeal(key, 43, 1, msg) != sealed);
   CHECK(AeadSeal(key, 42, 2, msg) != sealed);
+
+  // ---- Known answers: RFC 8439 section 2.8.2 without the AAD -------------
+  // Round trips and tamper checks cannot see a byte-order slip made the same
+  // way on both sides; fixed ciphertexts can.  The key and plaintext are the
+  // RFC's; its 12-byte nonce 07 00 00 00 40 41 42 43 44 45 46 47 is
+  // (message nonce LE64, layer LE32).  The expected bytes (ciphertext ||
+  // tag) come from an independent implementation, Python cryptography's
+  // ChaCha20Poly1305(key).encrypt(nonce, plaintext[:len], None).
+  {
+    AeadKey rfc_key;
+    for (size_t i = 0; i < kAeadKeyBytes; ++i) {
+      rfc_key.bytes[i] = static_cast<uint8_t>(0x80 + i);
+    }
+    const uint64_t rfc_nonce = 0x4342414000000007ULL;
+    const uint32_t rfc_layer = 0x47464544u;
+    const std::string sunscreen =
+        "Ladies and Gentlemen of the class of '99: If I could offer you only "
+        "one tip for the future, sunscreen would be it.";
+    CHECK(sunscreen.size() == 114);
+    const struct {
+      size_t length;
+      const char* sealed_hex;
+    } kKnownAnswers[] = {
+        {0, "a0784d7a4716f3feb4f64e7f4b39bf04"},
+        {1, "d39614ae9894890cdbb8756ba13766c5aa"},
+        {16,
+         "d31a8d34648e60db7b86afbc53ef7ec2f0050f4cdbfd3d0516891fac84845941"},
+        {64,
+         "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
+         "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
+         "f1c5b2fe4e9bf675474f07f1df59e542"},
+        {114,
+         "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
+         "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
+         "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
+         "3ff4def08e4b7a9de576d26586cec64b61166a23a4681fd59456aea1d29f8247"
+         "7216"},
+    };
+    for (const auto& kat : kKnownAnswers) {
+      const Bytes plain(sunscreen.begin(), sunscreen.begin() + kat.length);
+      const Bytes want = FromHex(kat.sealed_hex);
+      CHECK(want.size() == kat.length + kAeadTagBytes);
+      CHECK(AeadSeal(rfc_key, rfc_nonce, rfc_layer, plain) == want);
+      Bytes back;
+      CHECK(AeadOpen(rfc_key, rfc_nonce, rfc_layer, want, &back));
+      CHECK(back == plain);
+    }
+  }
 
   // ---- Tamper DETECTION (not just garbling) -------------------------------
   // Wrong key / wrong nonce / wrong layer: authentication fails and the

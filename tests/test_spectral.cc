@@ -48,6 +48,16 @@ double TorusGap(size_t w, size_t h) {
   return 1.0 - worst;
 }
 
+// Friedman's theorem: the nontrivial adjacency eigenvalues of a random
+// k-regular graph lie within 2 sqrt(k - 1) + o(1) of 0 with high
+// probability, and Alon-Boppana keeps the largest from falling much below
+// that, so the walk's absolute gap is 1 - 2 sqrt(k - 1) / k up to
+// finite-n corrections.
+double FriedmanGap(size_t k) {
+  return 1.0 - 2.0 * std::sqrt(static_cast<double>(k - 1)) /
+                   static_cast<double>(k);
+}
+
 // The estimate converges, never exceeds the true gap, and stays within 1%
 // of it; its residual meets the relative tolerance it stopped on.
 SpectralGapEstimate CheckSound(const Graph& g, double true_gap) {
@@ -102,14 +112,25 @@ int main() {
   Graph dense = MakeCirculant(64, 62);
   CHECK(EstimateSpectralGap(dense).gap > 0.9);
 
-  // Random 8-regular graphs are expanders: gap comfortably above the cycle's
-  // and below 1, reached in far fewer steps than the slow families.
+  // Random regular graphs sit at Friedman's gap.  No closed form bounds
+  // their gap from above, so the estimate gets a 0.01 window around it and
+  // Eq. 7 must still dominate the exact collision mass.
+  Rng friedman(20221017);
+  for (size_t k : {size_t{3}, size_t{4}, size_t{8}, size_t{20}}) {
+    const Graph g = MakeRandomRegular(4000, k, &friedman);
+    const SpectralGapEstimate est = EstimateSpectralGap(g);
+    CHECK(est.converged);
+    CHECK_NEAR(est.gap, FriedmanGap(k), 0.01);
+    CheckBoundDominates(g, est.gap);
+  }
+
+  // A random 8-regular expander reaches that gap in far fewer steps than
+  // the slow families.
   Rng rng(3);
   Graph reg = MakeRandomRegular(4000, 8, &rng);
   const auto reg_est = EstimateSpectralGap(reg);
   CHECK(reg_est.converged);
-  CHECK(reg_est.gap > 0.15);
-  CHECK(reg_est.gap < 1.0);
+  CHECK_NEAR(reg_est.gap, FriedmanGap(8), 0.01);
   CHECK(reg_est.iterations < 300);
 
   // The estimated gap actually predicts mixing: after MixingTime rounds the
