@@ -4,9 +4,10 @@
 // persistent exchange state by exactly one round through a persistent
 // ExchangeWorkspace — the serving-loop shape (Session::Step(1)) whose
 // steady state the workspace exists for — so the per-iteration time IS the
-// per-round kernel cost at that n.  The coin-fill benchmarks isolate the
-// batch RNG layer (util/rng.h) against the per-user scalar construction it
-// replaced.
+// per-round cost at that n, at the pool width NS_THREADS sets (unset = all
+// cores; NS_THREADS=1 isolates the kernels).  The coin-fill benchmarks
+// isolate the batch RNG layer (util/rng.h) against the per-user scalar
+// construction it replaced.
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +19,6 @@
 
 #include "graph/generators.h"
 #include "shuffle/engine.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace netshuffle {
@@ -106,7 +106,6 @@ BENCHMARK(BM_ScalarRngPerUser);
 }  // namespace netshuffle
 
 int main(int argc, char** argv) {
-  netshuffle::SetThreadCount(1);  // kernel cost, not scheduling
   return netshuffle::RunMicroSuite("micro_hop", "BM_HopScatterRegular/100000",
                                    argc, argv);
 }

@@ -307,8 +307,9 @@ Status Session::BeginEpoch() {
   // Seal next: on a short epoch or a duplicate origin this returns the
   // typed kPayloadMismatch and the epoch does NOT roll — the pending arena
   // stays mutable (short epochs keep ingesting; duplicates DiscardPending).
-  // Hosted arenas surface column-map failures here as kIoError, likewise
-  // without rolling.
+  // Hosted arenas surface payload write failures (disk full, file-size
+  // limit) and column-map failures here as kIoError, likewise without
+  // rolling; a write failure is sticky, so the caller DiscardPending()s.
   const Status sealed = pending_.Seal(num_users_);
   if (!sealed.ok()) return sealed;
 

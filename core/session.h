@@ -374,10 +374,10 @@ class Session {
   // injects it as the next epoch's exchange state.
 
   /// Streams one report into the pending (next-epoch) arena.  Typed
-  /// kPayloadMismatch for an out-of-range origin; duplicate origins and a
-  /// short epoch surface at the BeginEpoch seal point.  One producer
-  /// thread; safe concurrent with Step/Finalize/queries on the current
-  /// epoch.
+  /// kPayloadMismatch for an out-of-range origin; duplicate origins, a
+  /// short epoch and a failed payload write (file-backed sessions) surface
+  /// at the BeginEpoch seal point.  One producer thread; safe concurrent
+  /// with Step/Finalize/queries on the current epoch.
   Status Ingest(NodeId origin, const uint8_t* data, size_t size);
   Status Ingest(NodeId origin, const Bytes& payload) {
     return Ingest(origin, payload.data(), payload.size());
@@ -390,16 +390,18 @@ class Session {
   /// Reports ingested toward the next epoch so far.
   size_t pending_reports() const { return pending_.num_reports(); }
   /// Drops all pending ingest (e.g. after a duplicate-origin seal failure,
-  /// which appends cannot repair) and starts the next epoch's arena empty
-  /// (file-backed on the session's backend when one is configured).
+  /// which appends cannot repair, or a kIoError from a failed payload
+  /// write) and starts the next epoch's arena empty (file-backed on the
+  /// session's backend when one is configured).
   void DiscardPending();
 
   /// Seals the pending arena (one report per user — typed kPayloadMismatch
   /// otherwise, leaving the arena mutable so a short epoch can keep
-  /// ingesting) and replaces the exchange state with a fresh injection of
-  /// it: epoch() increments, current_round() restarts at 0, and the new
-  /// epoch's engine coins come from streams keyed on (seed, epoch).  The
-  /// previous epoch's holdings are dropped — FinalizeEpoch first.
+  /// ingesting; kIoError if a file-backed arena's payload write failed) and
+  /// replaces the exchange state with a fresh injection of it: epoch()
+  /// increments, current_round() restarts at 0, and the new epoch's engine
+  /// coins come from streams keyed on (seed, epoch).  The previous epoch's
+  /// holdings are dropped — FinalizeEpoch first.
   Status BeginEpoch();
 
   /// Closes out the CURRENT epoch: the curator inbox over its holdings.

@@ -296,11 +296,14 @@ void PayloadStream::AppendRaw(Column* col, const void* data, size_t size) {
   if (size == 0) return;
   const uint8_t* src = static_cast<const uint8_t*>(data);
   if (col->buf.size() + size > kStreamBufBytes) FlushColumn(col);
+  // A failed stream has lost bytes for good: stop writing, and let
+  // EnsureMapped report the failure at the seal point.
+  if (!error_.ok()) return;
   if (size >= kStreamBufBytes) {
     // Oversized single append (giant payload): bypass the buffer.
     if (!WriteFully(col->fd, src, size)) {
-      NETSHUFFLE_FATAL(IoError("payload stream write failed", col->path)
-                           .ToString());
+      error_ = IoError("payload stream write failed", col->path);
+      return;
     }
   } else {
     col->buf.insert(col->buf.end(), src, src + size);
@@ -311,9 +314,8 @@ void PayloadStream::AppendRaw(Column* col, const void* data, size_t size) {
 
 void PayloadStream::FlushColumn(Column* col) {
   if (col->buf.empty()) return;
-  if (!WriteFully(col->fd, col->buf.data(), col->buf.size())) {
-    NETSHUFFLE_FATAL(IoError("payload stream flush failed", col->path)
-                         .ToString());
+  if (error_.ok() && !WriteFully(col->fd, col->buf.data(), col->buf.size())) {
+    error_ = IoError("payload stream flush failed", col->path);
   }
   col->buf.clear();
 }
@@ -351,6 +353,7 @@ Status PayloadStream::EnsureMapped() {
   for (const Spec& spec : specs) {
     FlushColumn(spec.col);
   }
+  if (!error_.ok()) return error_;
   for (const Spec& spec : specs) {
     auto mapped = MappedFile::OpenReadOnly(spec.col->path, spec.min_bytes);
     if (!mapped.ok()) {

@@ -350,8 +350,11 @@ void FlatColumn<T>::AdviseDontNeedAll() const {
 /// three streamed backend files: Append() goes through small app-side
 /// buffers into write(2) — the population's payload bytes are never
 /// resident — and EnsureMapped() (the Freeze/Seal point) flushes and maps
-/// all three read-only.  A failed seal can keep appending: the next Append
-/// drops the mappings and the streams continue where they left off.
+/// all three read-only.  A failed map can keep appending: the next Append
+/// drops the mappings and the streams continue where they left off.  A
+/// failed write (disk full, file-size limit) cannot: it is sticky — the
+/// stream stops writing and EnsureMapped returns that kIoError from then
+/// on, so the owner's seal point reports it and the stream is discarded.
 ///
 /// Owned by PayloadArena behind a shared_ptr (the arena must stay copyable
 /// for SessionConfig); copies of a hosted arena share this stream, so treat
@@ -372,7 +375,8 @@ class PayloadStream {
   const std::shared_ptr<StorageBackend>& backend() const { return backend_; }
 
   /// Flushes the write buffers and maps all three columns read-only.
-  /// kIoError on any open/map failure.  Idempotent while mapped.
+  /// kIoError on any open/map failure, and on every call after a write
+  /// failed.  Idempotent while mapped.
   Status EnsureMapped();
   bool mapped() const { return origins_.map != nullptr; }
 
@@ -416,6 +420,7 @@ class PayloadStream {
   Column bytes_;
   size_t num_reports_ = 0;
   uint64_t total_bytes_ = 0;
+  Status error_;  // the first write failure, sticky; ok until then
 };
 
 }  // namespace netshuffle

@@ -35,10 +35,21 @@ size_t ShuffleMetrics::max_user_memory() const {
 namespace {
 
 // Upper bound on the number of routing shards.  Shard count is
-// scheduling-only (results are bit-identical at any value), but each shard
-// owns a full n-entry row of the counting table, so the cap bounds that
-// table at 128 bytes/user even under extreme NS_THREADS settings.
+// scheduling-only (results are bit-identical at any value).  A round keeps
+// shards x shards blocks, and each destination shard walks all of its
+// source blocks, so the cap keeps the blocks from thinning out to a few
+// reports each (and the partition's per-destination cursors on the stack)
+// even under extreme NS_THREADS settings.
 constexpr size_t kMaxRoutingShards = 32;
+
+// A user's routing shard: (v * mul) >> 32, with
+// mul = floor(shards * 2^32 / n) — a multiply and a shift per report, where
+// a division would dominate the partition loop.  ResumeExchange derives the
+// shard bounds from this same map, so the shard a report is routed to
+// always owns its destination.
+inline size_t ShardOf(uint32_t v, uint64_t mul) {
+  return (uint64_t{v} * mul) >> 32;
+}
 
 // Holders per hop tile (DESIGN.md §4e): each shard processes this many
 // holders' coins before mapping them to destinations, so the coin column,
@@ -58,50 +69,39 @@ constexpr uint32_t kCoinTile = 4096;
 // exposed).
 constexpr uint32_t kPrefetchAhead = 40;
 
-// Dereference the per-tile neighbor addresses into the dest column and
-// histogram them into the shard's counting row — the only pass of the hop
-// that touches random adjacency lines.  The AVX-512 body gathers 8 lines
-// per instruction, widening the out-of-order miss window far beyond what
-// the scalar loop's speculation reaches; the histogram increments then hit
-// in registers/L1.  Bit-identical to the scalar tail by construction.
+// Dereference the per-tile neighbor addresses into the dest column — the
+// only pass of the hop that touches random adjacency lines.  The AVX-512
+// body gathers 8 lines per instruction, widening the out-of-order miss
+// window far beyond what the scalar loop's speculation reaches.  The
+// loop does nothing else: histogramming the destinations here as well
+// measured no faster than ReceiveShard's separate pass, even at one shard
+// (DESIGN.md §4e).  Bit-identical to the scalar tail by construction.
 #if NETSHUFFLE_ENGINE_AVX512
-__attribute__((target("avx512f"))) void DerefHistAvx512(
+__attribute__((target("avx512f"))) void DerefAvx512(
     const NodeId* const* addrs, uint32_t base, uint32_t end_off,
-    uint32_t* dests, uint32_t* count) {
+    uint32_t* dests) {
   uint32_t i = base;
   for (; i + 8 <= end_off; i += 8) {
     const __m512i a = _mm512_loadu_si512(addrs + (i - base));
     const __m256i d8 = _mm512_i64gather_epi32(a, nullptr, 1);
-    // ns-lint: allow(wire): SIMD register stores into local uint32 rows —
-    // intrinsic-mandated pointer casts, nothing serialized
+    // ns-lint: allow(wire): SIMD register store into the local uint32 dest
+    // column — an intrinsic-mandated pointer cast, nothing serialized
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dests + i), d8);
-    alignas(32) uint32_t d[8];
-    // ns-lint: allow(wire): intrinsic-mandated register-store cast (above)
-    _mm256_store_si256(reinterpret_cast<__m256i*>(d), d8);
-    for (int j = 0; j < 8; ++j) ++count[d[j]];
   }
-  for (; i < end_off; ++i) {
-    const uint32_t d = *addrs[i - base];
-    dests[i] = d;
-    ++count[d];
-  }
+  for (; i < end_off; ++i) dests[i] = *addrs[i - base];
 }
 #endif  // NETSHUFFLE_ENGINE_AVX512
 
-void DerefHist(const NodeId* const* addrs, uint32_t base, uint32_t end_off,
-               uint32_t* dests, uint32_t* count) {
+void Deref(const NodeId* const* addrs, uint32_t base, uint32_t end_off,
+           uint32_t* dests) {
 #if NETSHUFFLE_ENGINE_AVX512
   static const bool kHasAvx512 = __builtin_cpu_supports("avx512f");
   if (kHasAvx512) {
-    DerefHistAvx512(addrs, base, end_off, dests, count);
+    DerefAvx512(addrs, base, end_off, dests);
     return;
   }
 #endif
-  for (uint32_t i = base; i < end_off; ++i) {
-    const uint32_t d = *addrs[i - base];
-    dests[i] = d;
-    ++count[d];
-  }
+  for (uint32_t i = base; i < end_off; ++i) dests[i] = *addrs[i - base];
 }
 
 // Fault-path hop for one shard's holder slice: Awake consumes an unknowable
@@ -114,7 +114,7 @@ void DerefHist(const NodeId* const* addrs, uint32_t base, uint32_t end_off,
 void FaultHopShard(const Graph& g, const ExchangeOptions& options,
                    size_t round, size_t h_begin, size_t h_end,
                    const uint32_t* holder_v, const uint32_t* holder_b,
-                   uint32_t* count, uint32_t* dests,
+                   uint32_t* dests,
                    std::vector<std::pair<NodeId, uint64_t>>* traffic) {
   for (size_t h = h_begin; h < h_end; ++h) {
     const NodeId v = holder_v[h];
@@ -125,25 +125,20 @@ void FaultHopShard(const Graph& g, const ExchangeOptions& options,
     if (!is_awake || deg == 0) {
       // Asleep or isolated: every held report stays put, no draws.
       for (uint32_t i = b; i < e; ++i) dests[i] = v;
-      count[v] += e - b;
       continue;
     }
     const NodeId* nbr = g.neighbors_begin(v);
-    for (uint32_t i = b; i < e; ++i) {
-      const uint32_t d = nbr[rng.UniformInt(deg)];
-      dests[i] = d;
-      ++count[d];
-    }
+    for (uint32_t i = b; i < e; ++i) dests[i] = nbr[rng.UniformInt(deg)];
     if (options.metrics != nullptr) {
       traffic->emplace_back(v, static_cast<uint64_t>(e - b));
     }
   }
 }
 
-// One source shard's hop pass for one round, over its slice of the round's
-// holder list (users with at least one held report, in ascending user
-// order — built branchlessly by the prefix pass; see ResumeExchange).
-// Tile by tile over holders:
+// One source shard's hop pass for one round, over its segment of the
+// round's holder list (its users with at least one held report, in
+// ascending user order — built branchlessly by the destination pass; see
+// ReceiveShard).  Tile by tile over holders:
 //   A1. stream seeds + first words for every holder in the tile, as one
 //       flat batch (util/rng.h BatchStreamSeeds — AVX-512 when available);
 //   A2. branch-free pack: every holder's first word lands at its first coin
@@ -155,26 +150,23 @@ void FaultHopShard(const Graph& g, const ExchangeOptions& options,
 //       power-of-two degrees, the multiply-shift MapToBound otherwise — and
 //       software-prefetch each address; isolated users' slots point at the
 //       holder id itself (stay-in-place, no draw);
-//   B2. dereference the addresses into destinations and histogram them into
-//       this shard's counting row (DerefHist above).
+//   B2. dereference the addresses into destinations (Deref above).
 // The coin schedule and the per-slice draw order are exactly the scalar
 // engine's, so determinism is untouched (DESIGN.md §4e; pinned by
-// tests/test_kernel_differential.cc).  The shard's counting row is zeroed
-// on entry; streams/firsts/multi hold kCoinTile entries, and the coin and
-// address tiles grow on demand.
+// tests/test_kernel_differential.cc).  streams/firsts/multi hold kCoinTile
+// entries, and the coin and address tiles grow on demand.
 void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
               size_t h_begin, size_t h_end, const uint32_t* holder_v,
-              const uint32_t* holder_b, uint32_t* count, size_t n,
-              uint32_t* dests, uint64_t* streams, uint64_t* firsts,
+              const uint32_t* holder_b, uint32_t* dests, uint64_t* streams,
+              uint64_t* firsts,
               uint32_t* multi, std::vector<uint64_t>* coin_buf,
               std::vector<const NodeId*>* addr_buf,
               std::vector<std::pair<NodeId, uint64_t>>* traffic) {
-  std::fill(count, count + n, 0u);
   traffic->clear();
 
   if (options.faults != nullptr) {
     FaultHopShard(g, options, round, h_begin, h_end, holder_v, holder_b,
-                  count, dests, traffic);
+                  dests, traffic);
     return;
   }
 
@@ -253,22 +245,69 @@ void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
       }
     }
 
-    // ---- B2: dereference + histogram.
-    DerefHist(addrs, base, end_off, dests, count);
+    // ---- B2: dereference.
+    Deref(addrs, base, end_off, dests);
 
     h0 = h1;
   }
 }
 
-// One source shard's scatter pass: claim every report's slot from the
-// shard's cursor row (random read-modify-write, prefetched; the claimed
-// slot overwrites the dest column in place), then place the ids at the
-// claimed slots (random write, prefetched).  Splitting claim from placement
-// is what makes the placement address known kPrefetchAhead iterations early
-// — the scalar engine's fused cursor[dests[i]]++ write had nothing to
-// prefetch.  Slot assignment is identical either way.  The cursor row must
-// already hold each destination's first slot for this shard (the prefix
-// pass).
+// Writes one shard's first holder-list segment from the incoming store's
+// CSR offsets: users [u_begin, u_end) holding at least one report, from
+// index h, then the sentinel whose run start is the shard's arena end.
+// Branch-free: the candidate entry is written unconditionally and the
+// length advances only for holders.  Returns the sentinel's index.  Later
+// rounds' segments come out of ReceiveShard's prefix for free.
+size_t BuildHolderSegment(const uint32_t* offsets, size_t u_begin,
+                          size_t u_end, size_t h, uint32_t* holder_v,
+                          uint32_t* holder_b) {
+  for (size_t v = u_begin; v < u_end; ++v) {
+    // ns-lint: allow(narrow32): hot kernel; v < n and n/total passed
+    // CheckedNarrow32 when the store's offset columns were allocated.
+    holder_v[h] = static_cast<uint32_t>(v);
+    holder_b[h] = offsets[v];
+    h += (offsets[v + 1] > offsets[v]) ? 1 : 0;
+  }
+  // ns-lint: allow(narrow32): sentinel; u_end <= n, narrowed as above.
+  holder_v[h] = static_cast<uint32_t>(u_end);
+  holder_b[h] = offsets[u_end];
+  return h;
+}
+
+// One source shard's partition, right after its hop: counts its reports
+// per destination shard, lays one block per destination shard over its own
+// arena range [begin, end) in destination-shard order (row[d] = block d's
+// start, row[shards] = end), then copies each (id, destination) into its
+// block in arena order.  Only rounds with more than one shard partition;
+// the one-shard round's only block is the source range itself.
+void PartitionShard(uint32_t begin, uint32_t end, size_t shards, uint64_t mul,
+                    const uint32_t* dests, const ReportId* arena,
+                    uint32_t* row, ReportId* block_ids,
+                    uint32_t* block_dests) {
+  uint32_t cursor[kMaxRoutingShards] = {};
+  for (uint32_t i = begin; i < end; ++i) ++cursor[ShardOf(dests[i], mul)];
+  uint32_t run = begin;
+  for (size_t d = 0; d < shards; ++d) {
+    row[d] = run;
+    run += cursor[d];
+    cursor[d] = row[d];
+  }
+  row[shards] = end;
+  for (uint32_t i = begin; i < end; ++i) {
+    const uint32_t pos = cursor[ShardOf(dests[i], mul)]++;
+    block_ids[pos] = arena[i];
+    block_dests[pos] = dests[i];
+  }
+}
+
+// Claim every report's slot in [begin, end) from the cursor column (random
+// read-modify-write, prefetched; the claimed slot overwrites the dest
+// column in place), then place the ids at the claimed slots (random write,
+// prefetched).  Splitting claim from placement is what makes the placement
+// address known kPrefetchAhead iterations early — the scalar engine's fused
+// cursor[dests[i]]++ write had nothing to prefetch.  Slot assignment is
+// identical either way.  The cursor must already hold each destination's
+// next free slot (ReceiveShard's prefix).
 void ScatterShard(uint32_t* cursor, uint32_t begin, uint32_t end,
                   uint32_t* dests, const ReportId* arena,
                   ReportId* next_arena) {
@@ -289,15 +328,69 @@ void ScatterShard(uint32_t* cursor, uint32_t begin, uint32_t end,
   }
 }
 
+// One destination shard's pass, after every source shard's hop and
+// partition: it owns users [bounds[d], bounds[d + 1]) and block d of every
+// source's grid row.  It visits those blocks in ascending source order,
+// each in arena order — ascending sender order, so every slice it fills
+// comes out exactly as the one-shard round's.
+//   1. Histogram its users' loads into cursor[v].
+//   2. Prefix from the count of reports bound for lower shards: each load
+//      becomes its slice start, and each user with a nonzero load is
+//      appended (branch-free) to the shard's next holder-list segment.
+//   3. Claim and place every block's ids (ScatterShard).
+// cursor is next_offsets + 1, so once placed cursor[v] has advanced to
+// exactly the next CSR offset of v + 1.  Returns the segment's sentinel
+// index.
+size_t ReceiveShard(size_t d, size_t shards, const size_t* bounds,
+                    const uint32_t* grid, uint32_t* block_dests,
+                    const ReportId* block_ids, uint32_t* cursor,
+                    ReportId* next_arena, uint32_t* holder_v,
+                    uint32_t* holder_b) {
+  const size_t row = shards + 1;
+  const size_t u_begin = bounds[d], u_end = bounds[d + 1];
+  uint32_t run = 0;
+  for (size_t c = 0; c < shards; ++c) run += grid[c * row + d] - grid[c * row];
+
+  std::fill(cursor + u_begin, cursor + u_end, 0u);
+  for (size_t c = 0; c < shards; ++c) {
+    for (uint32_t i = grid[c * row + d]; i < grid[c * row + d + 1]; ++i) {
+      ++cursor[block_dests[i]];
+    }
+  }
+
+  size_t h = u_begin + d;
+  for (size_t v = u_begin; v < u_end; ++v) {
+    const uint32_t load = cursor[v];
+    // ns-lint: allow(narrow32): hot kernel; v < n, narrowed at store
+    // allocation.
+    holder_v[h] = static_cast<uint32_t>(v);
+    holder_b[h] = run;
+    cursor[v] = run;
+    run += load;
+    h += (load > 0) ? 1 : 0;
+  }
+  // ns-lint: allow(narrow32): sentinel; u_end <= n, narrowed as above.
+  holder_v[h] = static_cast<uint32_t>(u_end);
+  holder_b[h] = run;
+
+  for (size_t c = 0; c < shards; ++c) {
+    ScatterShard(cursor, grid[c * row + d], grid[c * row + d + 1],
+                 block_dests, block_ids, next_arena);
+  }
+  return h;
+}
+
 }  // namespace
 
 size_t ExchangeWorkspace::MemoryBytes() const {
   size_t bytes = next_.MemoryBytes() +
                  dests_.capacity() * sizeof(uint32_t) +
-                 counts_.capacity() * sizeof(uint32_t) +
+                 block_ids_.capacity() * sizeof(ReportId) +
+                 block_dests_.capacity() * sizeof(uint32_t) +
+                 grid_.capacity() * sizeof(uint32_t) +
                  holder_v_.capacity() * sizeof(uint32_t) +
                  holder_b_.capacity() * sizeof(uint32_t) +
-                 holder_start_.capacity() * sizeof(size_t) +
+                 segment_end_.capacity() * sizeof(size_t) +
                  bounds_.capacity() * sizeof(size_t);
   for (const auto& t : coins_) bytes += t.capacity() * sizeof(uint64_t);
   for (const auto& t : addrs_) bytes += t.capacity() * sizeof(const NodeId*);
@@ -435,14 +528,17 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     workspace->next_.Host(store.backend(), "route");
   }
 
-  // Users are sharded into contiguous ranges, one shard per pool slot.  The
-  // shard count only affects scheduling: every RNG draw comes from a
-  // per-(round, user) stream, and the counting-sort scatter below fills each
-  // destination's slice in ascending (shard, sender) order — which for
-  // contiguous ascending shards is just ascending sender order — so the
-  // holdings are bit-identical for any thread count (including 1).
+  // Users are sharded into contiguous ranges, one shard per pool slot; a
+  // shard is both a source (its users' hops) and a destination (its users'
+  // incoming slices).  The shard count only affects scheduling: every RNG
+  // draw comes from a per-(round, user) stream, and every destination slice
+  // is filled in ascending sender order (ReceiveShard), so the holdings are
+  // bit-identical for any thread count (including 1).  The bounds come from
+  // ShardOf's map: shard c starts at the first user v with
+  // (v * mul) >> 32 >= c.
   const size_t shards = std::min(
       {std::max<size_t>(ThreadCount(), 1), n, kMaxRoutingShards});
+  const uint64_t mul = (uint64_t{shards} << 32) / n;
 
   // Size the reusable scratch.  Every resize target depends only on
   // (n, total, shards) — the coin/address tiles additionally grow to the
@@ -451,15 +547,14 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
   // (pinned by tests/test_session_incremental.cc):
   //   next          — the double-buffer partner each round scatters into;
   //   dests         — per arena slot, this round's destination, then (in
-  //                   the scatter) the claimed slot;
-  //   counts        — shards x n rows: per-destination loads, converted in
-  //                   place into per-shard scatter cursors by the prefix
-  //                   pass;
-  //   holder_v/b    — the round's holder list: users with >= 1 held report
-  //                   (ascending) and where their arena run begins, plus a
-  //                   sentinel — what lets the hop kernels iterate holders
-  //                   with no empty-user branches;
-  //   holder_start  — each shard's slice of that list;
+  //                   the one-shard scatter) the claimed slot;
+  //   block_ids/dests — the per-destination-shard blocks (not needed by
+  //                   the one-shard round, whose block is the arena);
+  //   grid          — the block starts, one row per source shard;
+  //   holder_v/b    — the round's holder list, one segment per shard — what
+  //                   lets the hop kernels iterate holders with no
+  //                   empty-user branches;
+  //   segment_end   — each segment's sentinel index;
   //   streams/firsts/multi/coins/addrs — per-shard hop-tile columns;
   //   traffic       — per-shard (user, sends) counters, merged into the
   //                   shared ShuffleMetrics at round end instead of racing
@@ -467,11 +562,15 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
   ExchangeWorkspace& ws = *workspace;
   ws.next_.AllocateFor(n, total);
   ws.dests_.resize(total);
-  ws.counts_.resize(shards * n);
+  if (shards > 1) {
+    ws.block_ids_.resize(total);
+    ws.block_dests_.resize(total);
+  }
   ws.bounds_.resize(shards + 1);
-  ws.holder_v_.resize(n + 1);
-  ws.holder_b_.resize(n + 1);
-  ws.holder_start_.resize(shards + 1);
+  ws.grid_.resize(shards * (shards + 1));
+  ws.segment_end_.resize(shards);
+  ws.holder_v_.resize(n + shards);
+  ws.holder_b_.resize(n + shards);
   ws.coins_.resize(shards);
   ws.addrs_.resize(shards);
   ws.streams_.resize(shards);
@@ -487,30 +586,19 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     ws.multi_[c].resize(kCoinTile);
   }
   ws.traffic_.resize(shards);
-  for (size_t c = 0; c <= shards; ++c) ws.bounds_[c] = c * n / shards;
+  for (size_t c = 0; c <= shards; ++c) {
+    ws.bounds_[c] = std::min<size_t>(n, ((uint64_t{c} << 32) + mul - 1) / mul);
+  }
   const size_t* bounds = ws.bounds_.data();
   uint32_t* dests = ws.dests_.data();
+  uint32_t* grid = ws.grid_.data();
+  uint32_t* block_dests = shards > 1 ? ws.block_dests_.data() : dests;
   uint32_t* holder_v = ws.holder_v_.data();
   uint32_t* holder_b = ws.holder_b_.data();
-
-  // Build the first round's holder list from the incoming store (later
-  // rounds rebuild it for free inside the prefix pass).  Branch-free: the
-  // candidate entry is written unconditionally and the length advances only
-  // for users that actually hold something.
-  size_t num_holders = 0;
-  {
-    const uint32_t* offsets = store.offsets_data();
-    for (size_t v = 0; v < n; ++v) {
-      // ns-lint: allow(narrow32): hot kernel; v < n and n/total passed
-      // CheckedNarrow32 when the store's offset columns were allocated.
-      holder_v[num_holders] = static_cast<uint32_t>(v);
-      holder_b[num_holders] = offsets[v];
-      num_holders += (offsets[v + 1] > offsets[v]) ? 1 : 0;
-    }
-    // ns-lint: allow(narrow32): sentinel; same bound as the loop above.
-    holder_v[num_holders] = static_cast<uint32_t>(n);  // sentinel
-    // ns-lint: allow(narrow32): total fits the uint32 offset column.
-    holder_b[num_holders] = static_cast<uint32_t>(total);
+  if (shards == 1) {
+    // The one-shard round's only block is the whole arena.
+    grid[0] = 0;
+    grid[1] = CheckedNarrow32(total, "exchange report count");
   }
 
   for (size_t step = 0; step < options.rounds; ++step) {
@@ -519,17 +607,8 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     const size_t round = options.first_round + step;
     const uint32_t* offsets = store.offsets_data();
     const ReportId* arena = store.arena_data();
-
-    // Slice the holder list by the user-range shards (shard c's holders are
-    // exactly those with user id in [bounds[c], bounds[c+1])), so every hop
-    // shard still covers a contiguous arena range.
-    for (size_t c = 0; c <= shards; ++c) {
-      // ns-lint: allow(narrow32): shard bounds are user ids, <= n.
-      ws.holder_start_[c] =
-          std::lower_bound(holder_v, holder_v + num_holders,
-                           static_cast<uint32_t>(bounds[c])) -
-          holder_v;
-    }
+    uint32_t* next_offsets = ws.next_.mutable_offsets();
+    ReportId* next_arena = ws.next_.mutable_arena();
 
     // Out-of-core schedule (DESIGN.md §9): prefault each shard's source
     // slice before the hop walks it, one madvise(WILLNEED) per shard slice,
@@ -541,59 +620,43 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
       }
     }
 
-    // Hop phase (parallel over source shards): batched coin fill, degree-
-    // class address mapping, and per-shard destination histograms — see
-    // HopShard above and DESIGN.md §4e.
+    // Source phase (parallel over shards): batched coin fill, degree-class
+    // address mapping and the destination gather (HopShard, DESIGN.md
+    // §4e), then the partition into per-destination blocks.  The first
+    // round builds its holder segment from the incoming store here; later
+    // rounds reuse the one the previous round's destination pass wrote.
+    // The one-shard round skips the partition: its only block is the
+    // arena itself.
     GlobalPool().RunChunks(shards, [&](size_t c) {
-      HopShard(g, options, round, ws.holder_start_[c], ws.holder_start_[c + 1],
-               holder_v, holder_b, ws.counts_.data() + c * n, n, dests,
-               ws.streams_[c].data(), ws.firsts_[c].data(),
+      if (step == 0) {
+        ws.segment_end_[c] = BuildHolderSegment(
+            offsets, bounds[c], bounds[c + 1], bounds[c] + c, holder_v,
+            holder_b);
+      }
+      HopShard(g, options, round, bounds[c] + c, ws.segment_end_[c], holder_v,
+               holder_b, dests, ws.streams_[c].data(), ws.firsts_[c].data(),
                ws.multi_[c].data(), &ws.coins_[c], &ws.addrs_[c],
                &ws.traffic_[c]);
+      if (shards > 1) {
+        PartitionShard(offsets[bounds[c]], offsets[bounds[c + 1]], shards, mul,
+                       dests, arena, grid + c * (shards + 1),
+                       ws.block_ids_.data(), block_dests);
+      }
     });
 
-    // Prefix pass (coordinating thread): one running sum over destinations,
-    // visiting source shards in ascending order within each destination,
-    // yields the next CSR offsets, every shard's private scatter cursor,
-    // AND the next round's holder list (branch-free append of every
-    // destination that received a nonzero load).  This fixed visit order is
-    // what pins the canonical ascending-sender layout regardless of
-    // scheduling.
-    uint32_t* next_offsets = ws.next_.mutable_offsets();
-    uint32_t run = 0;
-    size_t next_holders = 0;
-    for (size_t v = 0; v < n; ++v) {
-      next_offsets[v] = run;
-      // ns-lint: allow(narrow32): hot kernel; v < n, narrowed at store
-      // allocation.
-      holder_v[next_holders] = static_cast<uint32_t>(v);
-      holder_b[next_holders] = run;
-      const uint32_t row_start = run;
-      for (size_t c = 0; c < shards; ++c) {
-        uint32_t& slot = ws.counts_[c * n + v];
-        const uint32_t load = slot;
-        slot = run;  // shard c's first slot inside destination v's slice
-        run += load;
-      }
-      next_holders += (run > row_start) ? 1 : 0;
-    }
-    next_offsets[n] = run;  // == total: reports are conserved
-    // ns-lint: allow(narrow32): sentinel; n narrowed at store allocation.
-    holder_v[next_holders] = static_cast<uint32_t>(n);  // sentinel
-    holder_b[next_holders] = run;
-
-    // Scatter phase (parallel over source shards): each shard walks its
-    // arena range in order, claims each report's pre-assigned slot from its
-    // cursor row, and places the 4-byte id — the whole point of index
-    // routing (DESIGN.md §4d).  Writes are disjoint by construction, and
-    // slot order reproduces the serial schedule exactly.
-    ReportId* next_arena = ws.next_.mutable_arena();
-    GlobalPool().RunChunks(shards, [&](size_t c) {
-      ScatterShard(ws.counts_.data() + c * n, offsets[bounds[c]],
-                   offsets[bounds[c + 1]], dests, arena, next_arena);
+    // Destination phase (parallel over shards): each shard histograms,
+    // prefixes and scatters the blocks addressed to it, writing its users'
+    // next CSR offsets, its slices of the next arena and its next holder
+    // segment — all disjoint between shards (ReceiveShard above).  The
+    // 4-byte ids are all that moves (DESIGN.md §4d).
+    next_offsets[0] = 0;
+    const ReportId* block_ids = shards > 1 ? ws.block_ids_.data() : arena;
+    GlobalPool().RunChunks(shards, [&](size_t d) {
+      ws.segment_end_[d] =
+          ReceiveShard(d, shards, bounds, grid, block_dests, block_ids,
+                       next_offsets + 1, next_arena, holder_v, holder_b);
     });
     store.SwapWith(&ws.next_);
-    num_holders = next_holders;
 
     // ws.next_ now holds the round's consumed source buffer; every byte of
     // it is rewritten before it is read again, so a file-backed buffer can

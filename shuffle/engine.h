@@ -95,13 +95,14 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
 
 /// Reusable scratch for ResumeExchange (DESIGN.md §4e): the double-buffer
 /// partner store plus the per-round routing tables — destination/slot
-/// column, per-shard counting rows, the holder list the batched hop kernels
+/// column, the per-destination-shard (id, destination) blocks and their
+/// start grid, the per-shard holder-list segments the batched hop kernels
 /// iterate, per-shard coin/address tiles, per-shard traffic buffers.
 /// Hoisted out of the engine so a serving loop stepping one round at a time
-/// (Session::Step(1)) pays the O(shards * n) allocation once per session
-/// instead of once per call; buffer sizing is idempotent, so the steady
-/// state allocates nothing (pinned by an allocation-count regression test
-/// in tests/test_session_incremental.cc).
+/// (Session::Step(1)) pays the O(n) allocation once per session instead of
+/// once per call; buffer sizing is idempotent, so the steady state
+/// allocates nothing (pinned by an allocation-count regression test in
+/// tests/test_session_incremental.cc).
 ///
 /// Purely scratch: no routing decision ever reads workspace contents from a
 /// previous round, so reusing one workspace across exchanges (or graphs of
@@ -117,7 +118,8 @@ class ExchangeWorkspace {
 
   /// Heap footprint of the scratch buffers (benches report this; the
   /// dominant terms are the ~8 B/user partner store, the 4 B/report
-  /// dest/slot column, and the 4 B/user counting row per shard).
+  /// dest/slot column, the 8 B/report blocks when there is more than one
+  /// shard, and the ~8 B/user holder list).
   size_t MemoryBytes() const;
 
  private:
@@ -127,14 +129,20 @@ class ExchangeWorkspace {
 
   ReportStore next_;              // double-buffer scatter partner
   std::vector<uint32_t> dests_;   // per-slot destination, then claimed slot
-  std::vector<uint32_t> counts_;  // shards x n counting/cursor rows
   std::vector<size_t> bounds_;    // shard user boundaries (shards + 1)
-  // The round's holder list: users holding >= 1 report (ascending) and
-  // where each one's arena run begins, plus a sentinel entry — the
-  // branch-free iteration structure of the batched hop (DESIGN.md §4e).
-  std::vector<uint32_t> holder_v_;     // holder user ids (n + 1)
-  std::vector<uint32_t> holder_b_;     // holder arena-run starts (n + 1)
-  std::vector<size_t> holder_start_;   // per-shard holder slices (shards + 1)
+  // Per-destination-shard blocks, laid over each source shard's arena
+  // range: (id, destination), the latter overwritten by the claimed slot.
+  // Sized only when there is more than one shard.
+  std::vector<ReportId> block_ids_;
+  std::vector<uint32_t> block_dests_;
+  std::vector<uint32_t> grid_;    // block starts (shards x (shards + 1))
+  // The round's holder list, one segment per shard: users holding >= 1
+  // report (ascending) and where each one's arena run begins, then a
+  // sentinel entry — the branch-free iteration structure of the batched
+  // hop (DESIGN.md §4e).  Segment c starts at bounds_[c] + c.
+  std::vector<uint32_t> holder_v_;     // holder user ids (n + shards)
+  std::vector<uint32_t> holder_b_;     // holder arena-run starts (n + shards)
+  std::vector<size_t> segment_end_;    // per-segment sentinel index (shards)
   std::vector<std::vector<uint64_t>> coins_;  // per-shard coin tiles
   std::vector<std::vector<const NodeId*>> addrs_;  // per-shard address tiles
   std::vector<std::vector<uint64_t>> streams_;  // per-shard stream-seed tiles

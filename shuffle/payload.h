@@ -208,8 +208,10 @@ class PayloadArena {
   /// freezes the arena.  On violation the arena stays MUTABLE, so a
   /// streaming producer can append the missing reports and re-seal (a
   /// duplicated origin, however, cannot be retracted — discard the arena).
-  /// Hosted arenas surface map failures here as kIoError, also without
-  /// freezing — the stream stays appendable and a later re-Seal retries.
+  /// Hosted arenas surface write and map failures here as kIoError, also
+  /// without freezing.  After a map failure the stream stays appendable and
+  /// a later re-Seal retries; a write failure is sticky (bytes were lost),
+  /// so that arena must be discarded.
   Status Seal(size_t num_users) {
     const Status status = ValidateOnePerUser(num_users);
     if (status.ok()) frozen_ = true;

@@ -14,12 +14,18 @@
 //     read amplification, DONTNEED drop volume),
 //   - the write-once contract on a file-backed PayloadArena (append after
 //     Seal dies, same as the heap arena),
+//   - a failed payload write (a file-size limit standing in for a full
+//     disk) is a sticky, typed kIoError at BeginEpoch, not an abort: the
+//     epoch does not roll, the current one keeps stepping and finalizing,
+//     and DiscardPending recovers,
 //   - tmpdir lifetime: a kMmap session's directory outlives the Session
 //     while a Finalize result still references the hosted columns, and is
 //     swept — files and all — when the LAST owner goes away.
 
+#include <sys/resource.h>
 #include <sys/stat.h>
 
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -33,6 +39,7 @@
 #include "shuffle/backend.h"
 #include "shuffle/payload.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 using namespace netshuffle;
 using netshuffle_test::ExpectDeath;
@@ -235,6 +242,58 @@ int main() {
     CHECK(!incomplete.frozen());
     CHECK(incomplete.Append(1, nullptr, 0) == 1);
     CHECK(incomplete.Seal(2).ok());
+  }
+
+  // ---- Payload write failure: typed and recoverable, never fatal ----------
+  {
+    const size_t n = 20000;
+    Rng rng(11);
+    SessionConfig cfg;
+    cfg.SetGraph(MakeRandomRegular(n, 8, &rng))
+        .SetProtocol(ReportingProtocol::kAll);
+    StorageBackendConfig storage;
+    storage.kind = StorageBackendKind::kMmap;
+    cfg.SetStorage(storage);
+    auto built = Session::Create(std::move(cfg));
+    CHECK(built.ok());
+    Session session = std::move(built).value();
+
+    // A 256 KiB file-size limit stands in for a full disk: the pending
+    // payload stream's first 1 MiB flush fails with EFBIG (SIGXFSZ ignored,
+    // so write(2) returns the error instead of killing the process).  The
+    // exchange's own column files stay below the limit.
+    struct rlimit saved;
+    CHECK(::getrlimit(RLIMIT_FSIZE, &saved) == 0);
+    struct rlimit limited = saved;
+    limited.rlim_cur = 256 * 1024;
+    void (*const prev_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+    CHECK(::setrlimit(RLIMIT_FSIZE, &limited) == 0);
+
+    const std::vector<uint8_t> payload(128, 0x5a);
+    for (NodeId u = 0; u < n; ++u) {
+      CHECK(session.Ingest(u, payload.data(), payload.size()).ok());
+    }
+    CHECK(session.BeginEpoch().code() == StatusCode::kIoError);
+    // The epoch did not roll, and it keeps serving.
+    CHECK(session.epoch() == 0);
+    CHECK(session.Step(2).ok());
+    CHECK(session.current_round() == 2);
+    CHECK(session.FinalizeEpoch().server_inbox.size() == n);
+    // Sticky: the stream lost bytes, so a retried seal fails the same way.
+    CHECK(session.BeginEpoch().code() == StatusCode::kIoError);
+    CHECK(session.epoch() == 0);
+
+    CHECK(::setrlimit(RLIMIT_FSIZE, &saved) == 0);
+    std::signal(SIGXFSZ, prev_handler);
+    session.DiscardPending();
+    for (NodeId u = 0; u < n; ++u) {
+      CHECK(session.Ingest(u, payload.data(), payload.size()).ok());
+    }
+    CHECK(session.BeginEpoch().ok());
+    CHECK(session.epoch() == 1);
+    CHECK(session.current_round() == 0);
+    CHECK(session.Step(1).ok());
+    CHECK(session.payloads().total_payload_bytes() == n * payload.size());
   }
 
   // ---- Session storage: typed create failure, tmpdir lifetime --------------

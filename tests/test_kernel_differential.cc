@@ -18,9 +18,10 @@
 //   - fault schedules (LazyFaultModel: Awake consumes stream draws) and
 //     fault-free runs (the batched FirstRawDraw/FillStreamRaw fast path),
 //
-// at NS_THREADS 1/2/4 and under BOTH storage backends (heap and the
-// file-backed mmap tier, DESIGN.md §9 — the kernels must be bit-identical
-// over mapped memory), stepped round-by-round through ONE persistent
+// at NS_THREADS 1/2/3/4 (3 is the one shard split that is not a power of
+// two) and under BOTH storage backends (heap and the file-backed mmap
+// tier, DESIGN.md §9 — the kernels must be bit-identical over mapped
+// memory), stepped round-by-round through ONE persistent
 // ExchangeWorkspace reused across every shape, thread count, AND backend
 // (stale scratch from a previous, differently-sized or differently-hosted
 // exchange must be invisible; crossing backends exercises the workspace's
@@ -137,7 +138,7 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
   // on every transition.
   for (const std::shared_ptr<StorageBackend>& backend :
        {std::shared_ptr<StorageBackend>(), mmap_backend}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
       SetThreadCount(threads);
       std::vector<std::vector<ReportId>> ref = ReferenceInit(n);
       ExchangeResult state = StartExchange(g, PatternArena(n, backend));
@@ -243,7 +244,7 @@ int main() {
     Rng gen(meta.Next());
     const Graph g = MakeRandomRegular(240, 6, &gen);
     const uint64_t seed = meta.Next();
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
       SetThreadCount(threads);
       std::vector<std::vector<ReportId>> ref = ReferenceInit(240);
       for (size_t r = 0; r < 13; ++r) ReferenceRound(g, r, seed, &lazy, &ref);

@@ -162,14 +162,17 @@ void CheckIncrementalEqualsOneShot(const Graph& g,
 }
 
 // The ISSUE-7 workspace bugfix: a serving loop stepping one round at a time
-// must not re-pay the O(shards * n) routing-table allocation every call —
-// Session keeps one ExchangeWorkspace and ResumeExchange sizes it
-// idempotently, so once the buffers have reached steady-state capacity a
-// Step(1) allocates (essentially) nothing.  Pin that with a byte counter on
-// global operator new: a regression back to per-call allocation costs
-// ~hundreds of KB per step at this n and trips the bound immediately.
-void CheckSteadyStateStepsAllocationFree() {
-  SetThreadCount(1);
+// must not re-pay the O(n) routing-table allocation every call — Session
+// keeps one ExchangeWorkspace and ResumeExchange sizes it idempotently, so
+// once the buffers have reached steady-state capacity a Step(1) allocates
+// (essentially) nothing.  Pin that with a byte counter on global operator
+// new: a regression back to per-call allocation costs ~hundreds of KB per
+// step at this n and trips the bound immediately.  Run at one shard (the
+// round skips its partition) and at several (the partition's blocks and
+// block grid live in the workspace too); the few hundred bytes left are
+// the pool's per-dispatch std::function closures, not workspace growth.
+void CheckSteadyStateStepsAllocationFree(size_t threads) {
+  SetThreadCount(threads);
   Rng rng(77);
   SessionConfig config;
   config.SetGraph(MakeRandomRegular(20000, 8, &rng))
@@ -195,7 +198,8 @@ void CheckSteadyStateStepsAllocationFree() {
 
 int main() {
   const Graph g = TestGraph();
-  CheckSteadyStateStepsAllocationFree();
+  CheckSteadyStateStepsAllocationFree(1);
+  CheckSteadyStateStepsAllocationFree(4);
 
   // The thread count must not change a single bit of any of this (the CI
   // matrix additionally runs the whole suite under NS_THREADS=1 and 4).
