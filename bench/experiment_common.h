@@ -95,7 +95,7 @@ inline size_t EnvThreads() { return EnvThreadCount(); }
 ///     "threads": 4,                       // effective NS_THREADS
 ///     "scale": 0.05,                      // effective NS_SCALE
 ///     "accountant": "stationary_bound",   // who certified the headline
-///                                         // (see core/accountant.h names)
+///                                         // (see SetAccountant)
 ///     "completed": true,                  // false = the harness died before
 ///                                         // its final write
 ///     "wall_seconds": 1.234567,           // whole-harness wall time
@@ -130,8 +130,10 @@ class BenchRunner {
     headline_value_ = value;
   }
 
-  /// Which accountant certified the headline metric (an Accountant::name()
-  /// value, or "none" for harnesses that do no privacy accounting).
+  /// Which bound certified the headline metric ("stationary_bound" for
+  /// Session's certificate and the theorems evaluated directly,
+  /// "monte_carlo" for ablation (d)'s origin-0 analysis, or "none" for
+  /// harnesses that do no privacy accounting).
   void SetAccountant(const std::string& name) { accountant_ = name; }
 
   /// Call on a harness error path before returning from main: the final

@@ -7,8 +7,8 @@
 #include <cstdio>
 #include <utility>
 
-#include "core/accountant.h"
 #include "core/session.h"
+#include "dp/amplification.h"
 #include "experiment_common.h"
 #include "graph/dynamic.h"
 #include "graph/generators.h"
@@ -36,13 +36,14 @@ int main() {
   Table t({"scenario", "rounds to sumP^2<=1.05/n", "overhead",
            "eps at that t"});
 
-  // Certify at a realized collision mass through the accountant interface.
-  StationaryBoundAccountant accountant;
-  bench.SetAccountant(accountant.name());
+  // Theorem 5.3 at a realized collision mass.
+  bench.SetAccountant("stationary_bound");
   auto eps_at = [&](double sum_p_sq) {
-    return accountant
-        .Certify(FixedMassContext(n, eps0, sum_p_sq, 0.5e-6, 0.5e-6))
-        .epsilon;
+    NetworkShufflingBoundInput in;
+    in.epsilon0 = eps0;
+    in.n = n;
+    in.sum_p_squares = sum_p_sq;
+    return EpsilonAllStationary(in);
   };
 
   size_t base_rounds = 0;

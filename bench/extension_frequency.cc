@@ -60,7 +60,6 @@ int main() {
 
   Table t({"eps0", "central eps", "A_all L1 err", "A_single L1 err",
            "dummies"});
-  std::string accountant_name = "stationary_bound";
   for (double eps0 : {0.5, 1.0, 2.0, 3.0}) {
     const KRandomizedResponse rr(kCategories, eps0);
     RunningStats err_all, err_single;
@@ -95,7 +94,6 @@ int main() {
           return 1;
         }
         Session session = std::move(created).value();
-        accountant_name = session.accountant().name();
         if (session.StepToTarget().ok() == false) {
           bench.MarkFailed();
           return 1;
@@ -125,7 +123,7 @@ int main() {
     bench.AddMetric(key, err_all.mean());
     bench.SetHeadline("a_all_l1_err_largest_eps0", err_all.mean());
   }
-  bench.SetAccountant(accountant_name);
+  bench.SetAccountant("stationary_bound");
   t.Print();
 
   std::printf(

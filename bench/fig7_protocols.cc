@@ -1,16 +1,17 @@
 // Figure 7 — A_all vs A_single central epsilon as a function of eps0, on the
-// Twitch-like (n ~ 9.5k) and Google-like (n ~ 8.6x10^5) graphs, queried
-// through the pluggable Accountant interface (core/accountant.h) at the
-// stationary-limit collision mass sum pi^2 + 1/n^2 (FixedMassContext).
+// Twitch-like (n ~ 9.5k) and Google-like (n ~ 8.6x10^5) graphs: Theorems
+// 5.3 and 5.5 evaluated directly at the stationary-limit collision mass
+// sum pi^2 + 1/n^2.
 //
 // The reproduced crossover: A_single amplifies more at large eps0 (its bound
 // lacks the e^{4 eps0} composition factor of A_all).
 
 #include <cstdio>
 
-#include "core/accountant.h"
+#include "dp/amplification.h"
 #include "experiment_common.h"
 #include "graph/walk.h"
+#include "shuffle/protocol.h"
 #include "util/table.h"
 
 using namespace netshuffle;
@@ -41,14 +42,17 @@ int main() {
   }
   std::printf("\n");
 
-  StationaryBoundAccountant accountant;
-  bench.SetAccountant(accountant.name());
+  bench.SetAccountant("stationary_bound");
   const auto certify = [&](const Ds& ds, double eps0,
                            ReportingProtocol protocol) {
-    return accountant
-        .Certify(FixedMassContext(ds.n, eps0, ds.sum_p_sq, delta, delta2,
-                                  protocol))
-        .epsilon;
+    NetworkShufflingBoundInput in;
+    in.epsilon0 = eps0;
+    in.n = ds.n;
+    in.sum_p_squares = ds.sum_p_sq;
+    in.delta = delta;
+    in.delta2 = delta2;
+    return protocol == ReportingProtocol::kSingle ? EpsilonSingle(in)
+                                                  : EpsilonAllStationary(in);
   };
 
   Table t({"eps0", "twitch A_all", "twitch A_single", "google A_all",

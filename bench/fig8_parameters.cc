@@ -1,13 +1,12 @@
 // Figure 8 — stationary-limit parameter study without any dataset
 // assumption: central eps vs eps0 (0.2 .. 2.0) for Gamma in {1, 10},
 // n in {10^4, 10^6}, both protocols; the eps = eps0 diagonal is the
-// no-amplification reference.  A graph-free use of the Accountant
-// interface: the context carries only scalars (n, Gamma/n as the collision
-// mass, spectral_gap pinned to 1).
+// no-amplification reference.  Graph-free: Theorems 5.3 and 5.5 evaluated
+// directly at the stationary-limit collision mass Gamma/n.
 
 #include <cstdio>
 
-#include "core/accountant.h"
+#include "dp/amplification.h"
 #include "experiment_common.h"
 #include "util/table.h"
 
@@ -23,8 +22,7 @@ int main() {
   const size_t ns[] = {10000, 1000000};
   const double gammas[] = {1.0, 10.0};
 
-  StationaryBoundAccountant accountant;
-  bench.SetAccountant(accountant.name());
+  bench.SetAccountant("stationary_bound");
 
   for (size_t n : ns) {
     Table t({"eps0", "eps0 (no amp)", "A_all G=1", "A_all G=10",
@@ -33,13 +31,14 @@ int main() {
       t.NewRow().AddDouble(eps0, 1).AddDouble(eps0, 4);
       for (bool single : {false, true}) {
         for (double gamma : gammas) {
+          NetworkShufflingBoundInput in;
+          in.epsilon0 = eps0;
+          in.n = n;
+          in.sum_p_squares = gamma / static_cast<double>(n);
+          in.delta = delta;
+          in.delta2 = delta2;
           const double eps =
-              accountant
-                  .Certify(FixedMassContext(
-                      n, eps0, gamma / static_cast<double>(n), delta, delta2,
-                      single ? ReportingProtocol::kSingle
-                             : ReportingProtocol::kAll))
-                  .epsilon;
+              single ? EpsilonSingle(in) : EpsilonAllStationary(in);
           if (!single && gamma == 1.0) {
             bench.SetHeadline("a_all_G1_eps_at_eps0_2_n1e6", eps);
           }

@@ -53,7 +53,7 @@ int main() {
   }
   Session& all_acct = all_created.value();
   Session& single_acct = single_created.value();
-  bench.SetAccountant(all_acct.accountant().name());
+  bench.SetAccountant("stationary_bound");
   const size_t rounds = all_acct.target_rounds();
   std::printf("operating point: t = %zu rounds (alpha = %.5f)\n\n", rounds,
               all_acct.spectral_gap());

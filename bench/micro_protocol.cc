@@ -38,7 +38,8 @@ void BM_FullProtocolAll(benchmark::State& state) {
     ExchangeOptions opts;
     opts.rounds = 20;
     opts.seed = ++seed;
-    auto r = RunProtocol(g, ReportingProtocol::kAll, opts);
+    auto r = FinalizeProtocol(RunExchange(g, opts), ReportingProtocol::kAll,
+                              opts.seed);
     benchmark::DoNotOptimize(r.server_inbox.data());
   }
   state.SetLabel("10k users x 20 rounds");
@@ -53,7 +54,8 @@ void BM_FullProtocolSingle(benchmark::State& state) {
     ExchangeOptions opts;
     opts.rounds = 20;
     opts.seed = ++seed;
-    auto r = RunProtocol(g, ReportingProtocol::kSingle, opts);
+    auto r = FinalizeProtocol(RunExchange(g, opts),
+                              ReportingProtocol::kSingle, opts.seed);
     benchmark::DoNotOptimize(r.server_inbox.data());
   }
 }

@@ -274,7 +274,7 @@ int main() {
 
   std::printf(
       "\nReading: ops/s should be dominated by reader queries (lock-free "
-      "progress reads + a\nquery-side mutex around the accountant) without "
+      "progress reads + an\nO(1) bound under a shared lock) without "
       "stalling the mutator's ingest/step\nloop; coverage should be 1.000 "
       "every epoch (each user injects exactly once per epoch);\nmix D pays "
       "its spectral re-estimate in the epoch-roll column, not in query "

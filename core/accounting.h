@@ -1,9 +1,14 @@
-// Data-dependent Monte-Carlo privacy accounting: instead of the worst-case
-// Eq.-7 bound, simulate the exchange and account with (a) the exact position
-// distribution of the victim's report and (b) the within-slot shuffling
-// credit implied by the observed slot (per-holder report batch) sizes.
-// Certifies an epsilon at the requested confidence quantile over exchange
+// Data-dependent Monte-Carlo privacy analysis: instead of the worst-case
+// collision-mass bound, simulate the exchange and account with (a) the exact
+// position distribution of the victim's report and (b) the within-slot
+// shuffling credit implied by the observed slot (per-holder report batch)
+// sizes.  Reports an epsilon at the requested quantile over exchange
 // randomness — the paper's "accounting may be further tightened" direction.
+//
+// An analysis, not a certificate: the victim is the report from node 0, not
+// the worst-placed user, and the exchanges above the quantile are charged
+// to no delta.  Session certifies with graph/walk.h SumSquaresBound instead;
+// bench/ablation_bounds.cc (d) compares the two.
 
 #ifndef NETSHUFFLE_CORE_ACCOUNTING_H_
 #define NETSHUFFLE_CORE_ACCOUNTING_H_

@@ -2,11 +2,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
+#include "dp/amplification.h"
 #include "graph/connectivity.h"
 #include "graph/spectral.h"
-#include "graph/walk.h"
 #include "util/rng.h"
 
 // The mutator-only entry points (Step/BeginEpoch/Rewire) each hold an
@@ -159,7 +160,6 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
       delta_(config.delta()),
       delta2_(config.delta2()),
       seed_(config.seed()),
-      accountant_(config.accountant()),
       faults_(config.faults()),
       metrics_(config.metrics()),
       allow_non_ergodic_(config.allow_non_ergodic()),
@@ -170,22 +170,8 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
       num_users_(graph_.num_nodes()),
       epoch_seed_(config.seed()),
       sync_(std::make_unique<Sync>()) {
-  if (accountant_ == nullptr) {
-    accountant_ = std::make_shared<StationaryBoundAccountant>();
-  } else {
-    // Adopt a CLONE, never the configured instance: the config is copyable,
-    // so the same accountant object could otherwise be adopted by several
-    // sessions — cached walk state keyed on dead graph addresses, queries
-    // racing across sessions, and this session's query-side mutex
-    // (Sync::accountant) protecting nothing.
-    accountant_ = accountant_->Clone();
-  }
-  // Clones start cache-free by contract, but a custom Clone may copy cached
-  // walk state keyed on another session's graph address; invalidate
-  // defensively.
-  accountant_->OnTopologyChanged();
   gap_ = gap;
-  stationary_sum_squares_ = StationarySumSquares(graph_);
+  stationary_ = ComputeStationaryMoments(graph_);
   mixing_rounds_ = MixingTime(gap_, graph_.num_nodes());
   rounds_fixed_ = config.rounds() > 0;
   target_rounds_ = rounds_fixed_ ? config.rounds() : mixing_rounds_;
@@ -209,7 +195,7 @@ void Session::DiscardPending() { pending_ = MakePendingArena(); }
 double Session::Gamma() const {
   ns::ReaderMutexLock structure(&sync_->structure);
   return static_cast<double>(graph_.num_nodes()) *
-         SumSquaresBound(stationary_sum_squares_, gap_, target_rounds_);
+         SumSquaresBound(stationary_, gap_, target_rounds_);
 }
 
 Status Session::Step(size_t k) {
@@ -313,10 +299,10 @@ Status Session::BeginEpoch() {
   const Status sealed = pending_.Seal(num_users_);
   if (!sealed.ok()) return sealed;
 
-  // Exclusive vs accounting readers: the exchange swap below invalidates
-  // what ContextAt/Certify read (rounds restart, fresh holdings).  The
-  // writer-priority gate that kept a continuous query load from starving
-  // this rollover now lives inside ns::SharedMutex::WriterLock.
+  // Exclusive vs accounting readers: the swap below changes the epoch they
+  // read (rounds restart, fresh holdings).  The writer-priority gate that
+  // kept a continuous query load from starving this rollover now lives
+  // inside ns::SharedMutex::WriterLock.
   ns::WriterMutexLock structure(&sync_->structure);
   ++epoch_;
   // Fresh engine/finalize streams per epoch; epoch 0 keeps seed_ itself so
@@ -358,7 +344,8 @@ Status Session::Rewire(Graph graph) {
   double new_gap = 0.0;
   const Status status = Admit(probe, &new_gap);
   if (!status.ok()) return status;
-  const double new_sss = StationarySumSquares(probe.graph());
+  const StationaryMoments new_stationary =
+      ComputeStationaryMoments(probe.graph());
   const size_t new_mixing = MixingTime(new_gap, probe.graph().num_nodes());
 
   // Exclusive vs accounting readers, who read every field swapped here
@@ -366,31 +353,12 @@ Status Session::Rewire(Graph graph) {
   ns::WriterMutexLock structure(&sync_->structure);
   graph_ = probe.ReleaseGraph();
   gap_ = new_gap;
-  stationary_sum_squares_ = new_sss;
+  stationary_ = new_stationary;
   mixing_rounds_ = new_mixing;
   // A mixing-time rounds policy re-resolves against the new topology; an
   // explicit SetRounds target is the caller's to keep.
   if (!rounds_fixed_) target_rounds_ = mixing_rounds_;
-  // The graph changed under the accountant's feet (same member address, so
-  // pointer-keyed caches cannot tell): drop any tracked walk state.
-  ns::MutexLock acct(&sync_->accountant);
-  accountant_->OnTopologyChanged();
   return Status::Ok();
-}
-
-AccountingContext Session::ContextAt(size_t rounds, double epsilon0) const {
-  AccountingContext ctx;
-  ctx.epsilon0 = epsilon0;
-  ctx.n = graph_.num_nodes();
-  ctx.rounds = rounds;
-  ctx.protocol = protocol_;
-  ctx.delta = delta_;
-  ctx.delta2 = delta2_;
-  ctx.spectral_gap = gap_;
-  ctx.stationary_sum_squares = stationary_sum_squares_;
-  ctx.graph = &graph_;
-  ctx.seed = epoch_seed_;
-  return ctx;
 }
 
 PrivacyParams Session::RawGuaranteeAt(size_t rounds, double epsilon0) const {
@@ -400,10 +368,21 @@ PrivacyParams Session::RawGuaranteeAt(size_t rounds, double epsilon0) const {
   // epoch rollovers under continuous query load now lives inside
   // ns::SharedMutex::ReaderLock.
   ns::ReaderMutexLock structure(&sync_->structure);
-  const AccountingContext ctx = ContextAt(rounds, epsilon0);
-  // Accountants may cache walk state between queries; one reader at a time.
-  ns::MutexLock acct(&sync_->accountant);
-  return accountant_->Certify(ctx);
+  const double delta_total = delta_ + delta2_;
+  // Zero rounds certify nothing beyond the LDP floor.
+  if (rounds == 0) {
+    return PrivacyParams{std::numeric_limits<double>::infinity(), delta_total};
+  }
+  NetworkShufflingBoundInput in;
+  in.epsilon0 = epsilon0;
+  in.n = num_users_;
+  in.sum_p_squares = SumSquaresBound(stationary_, gap_, rounds);
+  in.delta = delta_;
+  in.delta2 = delta2_;
+  const double eps = protocol_ == ReportingProtocol::kSingle
+                         ? EpsilonSingle(in)
+                         : EpsilonAllStationary(in);
+  return PrivacyParams{eps, delta_total};
 }
 
 PrivacyParams Session::GuaranteeAt(size_t rounds, double epsilon0) const {

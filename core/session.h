@@ -23,14 +23,17 @@
 // fresh per-epoch exchange, FinalizeEpoch() closes an epoch out, and
 // accounting queries (Guarantee / GuaranteeAt / current_round / epoch) are
 // safe from reader threads concurrently with Step — progress is published
-// through one acquire/release atomic and accountant caches are serialized
-// on a query-side mutex, with zero locks added to the hot scatter path.
+// through one acquire/release atomic, with zero locks added to the hot
+// scatter path.
 // The one-shot path (Create with payloads -> Step -> Finalize) is epoch 0
 // of the same lifecycle, bit-identical to the pre-epoch engine
 // (tests/test_session_incremental.cc).
 //
-// Accounting is pluggable (core/accountant.h) and mechanisms are pluggable
-// (dp/mechanism.h).  See DESIGN.md "Session API".
+// Accounting is one stateless certificate: Theorem 5.3 (A_all) or 5.5
+// (A_single) at the graph/walk.h SumSquaresBound collision mass, which
+// holds for the worst-placed user's report, not only for a report from one
+// chosen node (DESIGN.md §3).  Mechanisms are pluggable (dp/mechanism.h).
+// See DESIGN.md "Session API".
 
 #ifndef NETSHUFFLE_CORE_SESSION_H_
 #define NETSHUFFLE_CORE_SESSION_H_
@@ -43,10 +46,10 @@
 #include <string>
 #include <utility>
 
-#include "core/accountant.h"
 #include "core/status.h"
 #include "dp/mechanism.h"
 #include "graph/graph.h"
+#include "graph/walk.h"
 #include "shuffle/backend.h"
 #include "shuffle/engine.h"
 #include "shuffle/payload.h"
@@ -56,11 +59,15 @@
 
 namespace netshuffle {
 
+/// A certified central (epsilon, delta) guarantee.
+struct PrivacyParams {
+  double epsilon = 0.0;
+  double delta = 0.0;
+};
+
 /// Builder-style configuration.  Every setter returns *this so calls chain;
 /// build a named config and std::move it into Session::Create.  The config
-/// is copyable, and safely so: Create adopts a private Accountant::Clone()
-/// of the configured accountant, so two sessions built from one (copied)
-/// config never share mutable accounting state.
+/// is copyable; it holds no state a session mutates.
 class SessionConfig {
  public:
   /// The communication graph (required; the session takes ownership).
@@ -76,7 +83,7 @@ class SessionConfig {
   }
 
   /// Target exchange rounds.  0 (the default) selects the mixing time
-  /// alpha^-1 log n — this is the ONE place the accountant-driven default
+  /// alpha^-1 log n — this is the ONE place the mixing-time default
   /// lives; the engine itself rejects zero-round exchanges
   /// (shuffle/engine.h ValidateExchangeOptions).
   SessionConfig& SetRounds(size_t rounds) {
@@ -135,15 +142,6 @@ class SessionConfig {
     return *this;
   }
 
-  /// Pluggable accounting; default is StationaryBoundAccountant.  The
-  /// session adopts a Clone() at Create (configuration, not cache), so the
-  /// instance set here is never mutated by the session and one config can
-  /// safely build many sessions.
-  SessionConfig& SetAccountant(std::shared_ptr<Accountant> accountant) {
-    accountant_ = std::move(accountant);
-    return *this;
-  }
-
   /// Optional availability model for Step; must outlive the session.
   SessionConfig& SetFaults(const FaultModel* faults) {
     faults_ = faults;
@@ -158,7 +156,7 @@ class SessionConfig {
   }
 
   /// Escape hatch: accept disconnected / bipartite graphs (the walk theory
-  /// does not apply; accountants will certify little or nothing).
+  /// does not apply; the certificate falls back to the eps0 floor).
   SessionConfig& AllowNonErgodic(bool allow = true) {
     allow_non_ergodic_ = allow;
     return *this;
@@ -185,7 +183,6 @@ class SessionConfig {
   double delta() const { return delta_; }
   double delta2() const { return delta2_; }
   uint64_t seed() const { return seed_; }
-  const std::shared_ptr<Accountant>& accountant() const { return accountant_; }
   const FaultModel* faults() const { return faults_; }
   ShuffleMetrics* metrics() const { return metrics_; }
   bool allow_non_ergodic() const { return allow_non_ergodic_; }
@@ -203,7 +200,6 @@ class SessionConfig {
   double delta_ = 0.5e-6;
   double delta2_ = 0.5e-6;
   uint64_t seed_ = 2022;
-  std::shared_ptr<Accountant> accountant_;
   const FaultModel* faults_ = nullptr;
   ShuffleMetrics* metrics_ = nullptr;
   bool allow_non_ergodic_ = false;
@@ -285,9 +281,10 @@ class Session {
   //   observe a monotone counter and never a torn (epoch, round) pair —
   //   and the graph/spectral state those queries read is NS_GUARDED_BY
   //   Sync::structure, an ns::SharedMutex (writer-priority built in) that
-  //   only BeginEpoch and Rewire take exclusively.  Accountant caches are
-  //   serialized on the query-side Sync::accountant mutex.  No lock of
-  //   any kind is added to the engine's hop or scatter passes.
+  //   only BeginEpoch and Rewire take exclusively.  A query is an O(1)
+  //   evaluation under the shared side of that lock; it takes no other
+  //   lock and never dispatches into the thread pool.  No lock of any kind
+  //   is added to the engine's hop or scatter passes.
   //
   //   ingest-thread (one producer; may be the mutator or a third thread):
   //   Ingest / pending_arena / pending_reports / DiscardPending.  The
@@ -328,7 +325,6 @@ class Session {
   const std::string& mechanism_name() const { return mechanism_name_; }
   ReportingProtocol protocol() const { return protocol_; }
   uint64_t seed() const { return seed_; }
-  Accountant& accountant() const { return *accountant_; }
 
   // ---- Incremental execution ----------------------------------------------
 
@@ -423,11 +419,10 @@ class Session {
   /// failed Rewire changes nothing.  Spectral invariants and the mixing
   /// floor are recomputed, and a mixing-time rounds policy re-resolves
   /// target_rounds() against the new topology (an explicit SetRounds
-  /// target is kept as configured); the executed
-  /// rounds and holdings are kept, and accountant caches are invalidated.
-  /// Accounting after a rewire re-derives walk state on the current
-  /// topology — an approximation the static theorems do not cover exactly
-  /// (DESIGN.md "Session API").
+  /// target is kept as configured); the executed rounds and holdings are
+  /// kept.  Accounting after a rewire evaluates the bound on the current
+  /// topology alone — an approximation the static theorems do not cover
+  /// exactly (DESIGN.md "Session API").
   Status Rewire(Graph graph);
 
   // ---- Accounting queries --------------------------------------------------
@@ -436,7 +431,8 @@ class Session {
   // with Step, BeginEpoch, and Rewire (see the concurrency contract).
 
   /// Raw theorem guarantee at a hypothetical round count (no stepping
-  /// required); can exceed eps0 in weak regimes.
+  /// required): Theorem 5.3 (kAll) or 5.5 (kSingle) at SumSquaresBound,
+  /// +inf epsilon at 0 rounds.  Can exceed eps0 in weak regimes.
   PrivacyParams RawGuaranteeAt(size_t rounds, double epsilon0) const;
 
   /// RawGuaranteeAt capped at the trivial (eps0, 0) LDP floor — the
@@ -494,8 +490,6 @@ class Session {
     /// (readers yield to an announced writer, so a continuous query load
     /// cannot starve an epoch rollover) lives inside ns::SharedMutex.
     mutable ns::SharedMutex structure;
-    /// Serializes accountant cache access across reader threads.
-    mutable ns::Mutex accountant;
 
     /// The best-effort "this call belongs to the mutator thread" check
     /// (fatal if a mutation is in flight), which also grants the analysis
@@ -506,9 +500,6 @@ class Session {
       mutator.AssertQuiescent(op);
     }
   };
-
-  AccountingContext ContextAt(size_t rounds, double epsilon0) const
-      NS_REQUIRES_SHARED(sync_->structure);
 
   // One packed word so readers never see a torn (epoch, round) pair, and
   // so progress is globally monotone across epoch rollovers.  Epoch-local
@@ -531,7 +522,6 @@ class Session {
   double delta_ = 0.5e-6;
   double delta2_ = 0.5e-6;
   uint64_t seed_ = 2022;
-  std::shared_ptr<Accountant> accountant_;
   const FaultModel* faults_ = nullptr;
   ShuffleMetrics* metrics_ = nullptr;
   bool allow_non_ergodic_ = false;
@@ -548,7 +538,7 @@ class Session {
   /// Ingest's per-report origin check and num_users() read it lock-free.
   size_t num_users_ = 0;
   double gap_ NS_GUARDED_BY(sync_->structure) = 0.0;
-  double stationary_sum_squares_ NS_GUARDED_BY(sync_->structure) = 0.0;
+  StationaryMoments stationary_ NS_GUARDED_BY(sync_->structure);
   size_t mixing_rounds_ NS_GUARDED_BY(sync_->structure) = 0;
   size_t target_rounds_ NS_GUARDED_BY(sync_->structure) = 0;
   bool rounds_fixed_ = false;

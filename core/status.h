@@ -59,7 +59,7 @@ enum class StatusCode {
   /// missing/unreadable/shorter than its column requires
   /// (shuffle/backend.h).
   kIoError,
-  /// Anything else (bad accountant parameters, ...).
+  /// Anything else (e.g. a non-positive StepUntil target).
   kInvalidArgument,
 };
 

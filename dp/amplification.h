@@ -39,8 +39,10 @@ struct NetworkShufflingBoundInput {
   double rho_star = 1.0;
 };
 
-/// Theorem 5.3: A_all at the stationary-limit operating point, valid for any
-/// graph via the Eq.-7 bound on sum P^2.  (eps, delta + delta2)-DP.
+/// Theorem 5.3: A_all at the stationary-limit operating point, evaluated at
+/// a collision mass `sum_p_squares` that bounds the victim's sum P^2 (for
+/// the worst origin on any graph: graph/walk.h SumSquaresBound).
+/// (eps, delta + delta2)-DP.
 double EpsilonAllStationary(const NetworkShufflingBoundInput& in);
 
 /// Theorem 5.4: A_all with exact symmetric position tracking; tighter than

@@ -1,8 +1,8 @@
 // Collusion audit: how much anonymity does a victim's report keep when a
 // fraction of a social network colludes with the curator?  (Relaxes the
 // paper's non-collusion assumption, Section 4.5.)  The clean guarantee comes
-// from a validated Session; the collusion-degraded one re-queries the same
-// accountant interface at the inflated collision mass.
+// from a validated Session; the collusion-degraded one evaluates the same
+// theorem at the session's collision-mass bound times the inflation.
 //
 //   ./examples/collusion_audit [fraction] [epsilon0]
 
@@ -11,6 +11,7 @@
 
 #include "core/session.h"
 #include "data/datasets.h"
+#include "dp/amplification.h"
 #include "graph/anonymity.h"
 #include "graph/walk.h"
 #include "shuffle/adversary.h"
@@ -57,18 +58,16 @@ int main(int argc, char** argv) {
               audit.sum_squares_inflation);
 
   // Amplification with and without the collusion penalty on unsighted
-  // reports.  The penalized query feeds the inflated collision mass through
-  // the same accountant (FixedMassContext consumes it as-is).
+  // reports: Theorem 5.3, the second time at the inflated collision mass.
   const double eps_clean = session.RawGuaranteeAt(rounds, epsilon0).epsilon;
-  const double inflated_mass =
-      SumSquaresBound(StationarySumSquares(ds.graph), session.spectral_gap(),
-                      rounds) *
+  NetworkShufflingBoundInput penalized;
+  penalized.epsilon0 = epsilon0;
+  penalized.n = n;
+  penalized.sum_p_squares =
+      SumSquaresBound(ComputeStationaryMoments(ds.graph),
+                      session.spectral_gap(), rounds) *
       audit.sum_squares_inflation;
-  const double eps_collusion =
-      session.accountant()
-          .Certify(FixedMassContext(n, epsilon0, inflated_mass, 0.5e-6,
-                                    0.5e-6))
-          .epsilon;
+  const double eps_collusion = EpsilonAllStationary(penalized);
   std::printf("central eps (no collusion)       : %.4f\n", eps_clean);
   std::printf("central eps (unsighted reports)  : %.4f\n", eps_collusion);
   std::printf("sighted reports fall back to     : eps0 = %.4f (LDP floor)\n",

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   Session session = std::move(created).value();
 
   // Lazy devices need ~1/(1-beta) more rounds to mix as well as the
-  // fault-free mixing time the accountant certifies at.
+  // fault-free mixing time the session certifies at.
   const size_t t_mix = session.mixing_rounds();
   const size_t rounds = static_cast<size_t>(
       static_cast<double>(t_mix) / (1.0 - laziness)) + 1;

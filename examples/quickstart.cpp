@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::printf("irregularity Gamma(t*)  : %.4f\n", session.Gamma());
 
   // 3. Run the exchange incrementally: after each chunk of rounds, ask the
-  //    accountant what the eps0-LDP reports amount to in the central model
+  //    session what the eps0-LDP reports amount to in the central model
   //    so far.  The guarantee starts at the (eps0, 0) LDP floor and tightens
   //    as the walk mixes.
   std::printf("\nround   central eps  (capped at the eps0 floor)\n");

@@ -81,26 +81,54 @@ double PositionDistribution::RhoStar() const {
   return std::max(worst, 1.0);
 }
 
-double StationarySumSquares(const Graph& g) {
+StationaryMoments ComputeStationaryMoments(const Graph& g) {
+  StationaryMoments out;
   const double two_m = 2.0 * static_cast<double>(g.num_edges());
-  if (two_m == 0.0) return g.num_nodes() > 0 ? 1.0 : 0.0;
-  double s = 0.0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const double pi = static_cast<double>(g.degree(v)) / two_m;
-    s += pi * pi;
+  if (two_m == 0.0) {
+    out.sum_squares = g.num_nodes() > 0 ? 1.0 : 0.0;
+    return out;
   }
-  return s;
+  // Degrees are integers, so their power sums are exact in a double (below
+  // 2^53) and the variance below cancels to exactly 0 on a regular graph.
+  double s = 0.0, d2 = 0.0, d3 = 0.0;
+  size_t d_min = g.degree(0), d_max = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const size_t deg = g.degree(v);
+    const double d = static_cast<double>(deg);
+    const double pi = d / two_m;
+    s += pi * pi;
+    d2 += d * d;
+    d3 += d * d * d;
+    d_min = std::min(d_min, deg);
+    d_max = std::max(d_max, deg);
+  }
+  out.sum_squares = s;
+  // sigma_pi^2 = sum pi^3 - (sum pi^2)^2 = (2m sum d^3 - (sum d^2)^2) / (2m)^4.
+  out.sigma = std::sqrt(std::max(0.0, two_m * d3 - d2 * d2)) / (two_m * two_m);
+  out.pi_min = static_cast<double>(d_min) / two_m;
+  out.pi_max = static_cast<double>(d_max) / two_m;
+  return out;
+}
+
+double StationarySumSquares(const Graph& g) {
+  return ComputeStationaryMoments(g).sum_squares;
 }
 
 double StationaryGamma(const Graph& g) {
   return static_cast<double>(g.num_nodes()) * StationarySumSquares(g);
 }
 
-double SumSquaresBound(double stationary_sum_squares, double spectral_gap,
+double SumSquaresBound(const StationaryMoments& pi, double spectral_gap,
                        size_t t) {
-  const double contraction = std::max(0.0, 1.0 - spectral_gap);
-  return stationary_sum_squares +
-         std::pow(contraction, 2.0 * static_cast<double>(t));
+  // A point mass has sum P^2 = 1 exactly; the formula reaches 1 at t = 0
+  // only up to rounding.
+  if (t == 0 || !(pi.pi_min > 0.0)) return 1.0;
+  const double lambda = std::max(0.0, 1.0 - spectral_gap);
+  // ||P_u(t)/pi - 1||_pi at the worst origin, pi_u = pi_min.
+  const double chi = std::pow(lambda, static_cast<double>(t)) *
+                     std::sqrt(1.0 / pi.pi_min - 1.0);
+  return std::min(1.0, pi.sum_squares + 2.0 * pi.sigma * chi +
+                           pi.pi_max * chi * chi);
 }
 
 size_t MixingTime(double spectral_gap, size_t n) {

@@ -49,6 +49,24 @@ class PositionDistribution {
   size_t time_ = 0;
 };
 
+/// The summaries of the stationary distribution pi_v = deg(v)/2m that
+/// SumSquaresBound consumes.
+struct StationaryMoments {
+  /// sum_v pi_v^2 (= Gamma_G / n).
+  double sum_squares = 0.0;
+  /// sigma_pi: the pi-weighted standard deviation of v -> pi_v, i.e.
+  /// sqrt(sum_v pi_v (pi_v - sum_w pi_w^2)^2).  Exactly 0 on a regular
+  /// graph.
+  double sigma = 0.0;
+  /// min_v pi_v and max_v pi_v.  pi_min is 0 when some node is isolated
+  /// (or the graph has no edges): a report there never moves.
+  double pi_min = 0.0;
+  double pi_max = 0.0;
+};
+
+/// All of StationaryMoments in one pass over the degrees.
+StationaryMoments ComputeStationaryMoments(const Graph& g);
+
 /// sum_v pi_v^2 for the stationary distribution pi_v = deg(v)/2m.
 double StationarySumSquares(const Graph& g);
 
@@ -56,9 +74,18 @@ double StationarySumSquares(const Graph& g);
 /// irregular the degrees.
 double StationaryGamma(const Graph& g);
 
-/// Eq. 5/7-style geometric bound: sum_v P_v(t)^2 <= sum_v pi_v^2 +
-/// (1-gap)^{2t}.
-double SumSquaresBound(double stationary_sum_squares, double spectral_gap,
+/// Bound on sum_v P_u(t)^2 that holds for EVERY origin u of a walk with
+/// absolute spectral gap `spectral_gap` (lambda = 1 - gap):
+///
+///   sum pi^2 + 2 sigma_pi lambda^t sqrt(1/pi_min - 1)
+///            + pi_max lambda^{2t} (1/pi_min - 1),
+///
+/// from the l2(pi) contraction ||P_u(t)/pi - 1||_pi <= lambda^t
+/// sqrt(1/pi_u - 1) of a reversible walk (Levin, Peres & Wilmer, "Markov
+/// Chains and Mixing Times", ch. 12).  On a regular graph it is the paper's
+/// Eq. 7, sum pi^2 + lambda^{2t}, with the tail scaled by (1 - 1/n).
+/// Capped at 1, the mass of a point; exactly 1 at t = 0 and when pi_min is 0.
+double SumSquaresBound(const StationaryMoments& pi, double spectral_gap,
                        size_t t);
 
 /// t* = ceil(log(n) / gap) — the operating point used throughout the paper.

@@ -1,6 +1,7 @@
 #include "shuffle/engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "util/parallel.h"
@@ -462,7 +463,7 @@ ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
   for (size_t u = 0; u < n; ++u) {
     if (offsets[u + 1] != 1) {
       // With exactly n reports, any user injecting more than one implies
-      // another injects none — a double eps0 spend the accountants cannot
+      // another injects none — a double eps0 spend the certificate cannot
       // see (Session::Validate reports the same condition as a typed
       // kPayloadMismatch first).
       NETSHUFFLE_FATAL("StartExchange: origin " + std::to_string(u) +
@@ -488,16 +489,12 @@ ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
 }
 
 ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
-                              const ExchangeOptions& options) {
-  ExchangeWorkspace workspace;
-  return ResumeExchange(g, std::move(prior), options, &workspace);
-}
-
-ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
                               const ExchangeOptions& options,
                               ExchangeWorkspace* workspace) {
   const Status valid = ValidateExchangeOptions(options);
   if (!valid.ok()) NETSHUFFLE_FATAL(valid.ToString());
+  std::optional<ExchangeWorkspace> call_scratch;
+  if (workspace == nullptr) workspace = &call_scratch.emplace();
   if (options.first_round != prior.rounds) {
     // A mismatched offset would draw coins from the wrong per-round streams
     // and silently diverge from the one-shot schedule.
@@ -710,11 +707,6 @@ ProtocolResult FinalizeProtocol(const ExchangeResult& exchange,
     }
   }
   return out;
-}
-
-ProtocolResult RunProtocol(const Graph& g, ReportingProtocol protocol,
-                           const ExchangeOptions& options) {
-  return FinalizeProtocol(RunExchange(g, options), protocol, options.seed);
 }
 
 }  // namespace netshuffle

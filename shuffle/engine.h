@@ -57,7 +57,7 @@ class ShuffleMetrics {
 struct ExchangeOptions {
   /// Number of exchange rounds executed by this call.  Must be positive:
   /// the engine has no mixing-time default and rejects 0 with a fatal error
-  /// (see ValidateExchangeOptions).  The accountant-driven default — rounds
+  /// (see ValidateExchangeOptions).  The mixing-time default — rounds
   /// = 0 meaning "the mixing time alpha^-1 log n" — lives in ONE place:
   /// core/session.h SessionConfig::SetRounds.
   size_t rounds = 1;
@@ -89,9 +89,19 @@ struct ExchangeResult {
 
 class ExchangeWorkspace;
 
+/// Advances `prior` (from StartExchange or a previous call) by
+/// options.rounds further rounds.  options.first_round must equal
+/// prior.rounds — that is what makes the incremental run bit-identical to a
+/// one-shot RunExchange over the combined rounds.  Fatal on
+/// options.rounds == 0 and on a first_round/prior mismatch (a wrong offset
+/// would silently draw coins from the wrong per-round streams).
+///
+/// A null `workspace` allocates scratch for this call only; incremental
+/// callers (Session::Step) pass a persistent one so repeated short calls
+/// reuse the routing tables.  Results are bit-identical either way.
 ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
                               const ExchangeOptions& options,
-                              ExchangeWorkspace* workspace);
+                              ExchangeWorkspace* workspace = nullptr);
 
 /// Reusable scratch for ResumeExchange (DESIGN.md §4e): the double-buffer
 /// partner store plus the per-round routing tables — destination/slot
@@ -172,20 +182,6 @@ ExchangeResult StartExchange(const Graph& g, ShuffleMetrics* metrics = nullptr);
 ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
                              ShuffleMetrics* metrics = nullptr);
 
-/// Advances `prior` (from StartExchange or a previous call) by
-/// options.rounds further rounds.  options.first_round must equal
-/// prior.rounds — that is what makes the incremental run bit-identical to a
-/// one-shot RunExchange over the combined rounds.  Fatal on
-/// options.rounds == 0 and on a first_round/prior mismatch (a wrong offset
-/// would silently draw coins from the wrong per-round streams).
-///
-/// This overload allocates its scratch internally; incremental callers
-/// (Session::Step) pass a persistent ExchangeWorkspace to the 4-argument
-/// overload above so repeated short calls reuse the routing tables.
-/// Results are bit-identical either way.
-ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
-                              const ExchangeOptions& options);
-
 /// Runs a fresh report exchange (StartExchange + ResumeExchange).  Reports
 /// are conserved: every one of the n injected reports is held by exactly one
 /// user afterwards.  Fatal on options.rounds == 0.
@@ -196,10 +192,6 @@ ExchangeResult RunExchange(const Graph& g, const ExchangeOptions& options);
 /// finalize repeatedly without copying it.
 ProtocolResult FinalizeProtocol(const ExchangeResult& exchange,
                                 ReportingProtocol protocol, uint64_t seed);
-
-/// RunExchange + FinalizeProtocol.
-ProtocolResult RunProtocol(const Graph& g, ReportingProtocol protocol,
-                           const ExchangeOptions& options);
 
 }  // namespace netshuffle
 

@@ -164,7 +164,7 @@ class PayloadArena {
   /// The one-report-per-user protocol invariant, checked without freezing:
   /// exactly `num_users` reports, every origin inside the population, no
   /// origin twice (a duplicated origin means one user spends its eps0
-  /// budget twice and another spends none — every accountant assumes one
+  /// budget twice and another spends none — the certificate assumes one
   /// report per user, so the certified epsilon would silently be wrong).
   /// Returns a typed kPayloadMismatch describing the first violation.
   /// Session::Validate applies it to config-supplied arenas; Seal applies

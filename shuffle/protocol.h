@@ -50,8 +50,8 @@ struct FinalReport {
 struct ProtocolResult {
   std::vector<FinalReport> server_inbox;
   /// The immutable origin/payload columns the inbox ids index into; shared
-  /// with the exchange state so one-shot helpers (RunProtocol) stay safe to
-  /// return by value.
+  /// with the exchange state, so FinalizeProtocol(RunExchange(...)) stays
+  /// safe after the exchange state is gone.
   std::shared_ptr<const PayloadArena> payloads;
   /// Users that submitted a dummy (held nothing, or kSingle surplus slots).
   size_t dummy_reports = 0;

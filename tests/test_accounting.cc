@@ -1,4 +1,4 @@
-// Monte-Carlo accountant and collusion adversary analysis.
+// Monte-Carlo accounting analysis and collusion adversary analysis.
 
 #include "core/accounting.h"
 
@@ -22,12 +22,12 @@ int main() {
   Graph g = MakeRandomRegular(n, k, &rng);
   const double gap = EstimateSpectralGap(g).gap;
 
-  // The data-dependent accountant never certifies more than the closed form.
+  // The data-dependent analysis never gives more than the closed form.
   for (size_t t : {4u, 8u, 16u}) {
     NetworkShufflingBoundInput in;
     in.epsilon0 = eps0;
     in.n = n;
-    in.sum_p_squares = SumSquaresBound(1.0 / static_cast<double>(n), gap, t);
+    in.sum_p_squares = SumSquaresBound(ComputeStationaryMoments(g), gap, t);
     in.delta = in.delta2 = 0.5e-6;
     const double closed = EpsilonAllStationary(in);
     const auto mc = MonteCarloEpsilonAll(g, t, eps0, 1e-6, 20, 0.95, 7);

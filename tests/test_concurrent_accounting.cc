@@ -6,12 +6,10 @@
 // there, and the monotonicity/consistency checks below fail everywhere.
 
 #include <atomic>
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/accountant.h"
 #include "core/session.h"
 #include "dp/ldp.h"
 #include "graph/generators.h"
@@ -72,10 +70,9 @@ void ReaderLoop(const Session& session, std::atomic<bool>* stop,
 /// One full serving run: kEpochs rollovers with kRoundsPerEpoch steps each,
 /// readers hammering throughout.  `churn` adds a Rewire per rollover (the
 /// exclusive-writer path readers must survive).
-void ServeUnderReaders(std::shared_ptr<Accountant> accountant, bool churn) {
+void ServeUnderReaders(bool churn) {
   SessionConfig config;
   config.SetGraph(Expander(7)).SetEpsilon0(1.0).SetSeed(99);
-  if (accountant != nullptr) config.SetAccountant(std::move(accountant));
   Session session = Session::Create(std::move(config)).value();
 
   std::atomic<bool> stop{false};
@@ -114,18 +111,12 @@ void ServeUnderReaders(std::shared_ptr<Accountant> accountant, bool churn) {
 }  // namespace
 
 int main() {
-  // Cache-free accounting: readers contend only on the progress word and
-  // the structure lock.
-  ServeUnderReaders(nullptr, /*churn=*/false);
+  // Readers contend only on the progress word and the structure lock.
+  ServeUnderReaders(/*churn=*/false);
 
-  // Cache-carrying accounting: SymmetricExactAccountant advances a tracked
-  // walk distribution inside Certify — the query-side accountant mutex must
-  // serialize that across readers, and Rewire's cache invalidation must not
-  // tear a concurrent query.
-  ServeUnderReaders(std::make_shared<SymmetricExactAccountant>(),
-                    /*churn=*/false);
-  ServeUnderReaders(std::make_shared<SymmetricExactAccountant>(),
-                    /*churn=*/true);
+  // Rewire under readers: its exclusive swap of the graph, the gap and the
+  // stationary moments must not tear a concurrent query.
+  ServeUnderReaders(/*churn=*/true);
 
   // Deterministic results are unaffected by concurrent readers: the same
   // serving schedule with and without load certifies identical numbers.

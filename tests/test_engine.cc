@@ -85,7 +85,8 @@ int main() {
 
   // kSingle: one submission per holding user; genuine + dummies == n users;
   // dropped = surplus.
-  ProtocolResult single = RunProtocol(g, ReportingProtocol::kSingle, opts);
+  ProtocolResult single = FinalizeProtocol(
+      RunExchange(g, opts), ReportingProtocol::kSingle, opts.seed);
   CHECK(single.server_inbox.size() + single.dummy_reports == n);
   CHECK(single.server_inbox.size() + single.dropped_reports == n);
   CHECK(single.dummy_reports > 0);  // Poisson(1)-ish occupancy: empties exist

@@ -144,7 +144,7 @@ int main() {
       (void)StartExchange(MakeCirculant(5, 2), std::move(arena));
     });
     // ... and a duplicated origin (one user would spend its eps0 budget
-    // twice; the accountants assume one report per user).
+    // twice; the certificate assumes one report per user).
     ExpectDeath([] {
       PayloadArena arena;
       for (NodeId u = 0; u < 4; ++u) arena.Append(u, Bytes{});

@@ -1,19 +1,20 @@
 // Session API coverage: the typed error taxonomy of Session::Create /
-// Validate, the rounds policy, pluggable accountants and mechanisms, the
-// LDP-floor cap across an eps0 sweep, early stopping, and rewiring.
+// Validate, the rounds policy, the one certificate and pluggable
+// mechanisms, the LDP-floor cap across an eps0 sweep, early stopping, and
+// rewiring.
 
 #include "core/session.h"
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/accountant.h"
+#include "dp/amplification.h"
 #include "dp/ldp.h"
 #include "dp/privunit.h"
 #include "graph/generators.h"
@@ -85,7 +86,7 @@ int main() {
     CHECK(Session::Create(std::move(allowed)).ok());
 
     // Payload arena mismatches: wrong report count, out-of-range origin,
-    // duplicated origin (a double eps0 spend the accountants cannot see).
+    // duplicated origin (a double eps0 spend the certificate cannot see).
     {
       PayloadArena short_arena;
       short_arena.Append(0, Bytes{1});
@@ -232,99 +233,72 @@ int main() {
     CHECK(std::string(s.mechanism_name()) == "laplace");
   }
 
-  // ---- Pluggable accountants ---------------------------------------------
+  // ---- The certificate -----------------------------------------------------
   {
+    // RawGuaranteeAt is Theorem 5.3 (kAll) or 5.5 (kSingle) at the
+    // SumSquaresBound collision mass, and certifies nothing at 0 rounds.
     Graph g = SmallExpander(1500, 8, 7);
-    const double eps0 = 1.0;
-    const size_t t = 12;
+    const StationaryMoments pi = ComputeStationaryMoments(g);
+    for (ReportingProtocol protocol :
+         {ReportingProtocol::kAll, ReportingProtocol::kSingle}) {
+      SessionConfig config;
+      config.SetGraph(Graph(g)).SetEpsilon0(1.0).SetProtocol(protocol);
+      Session s = Session::Create(std::move(config)).value();
+      CHECK(std::isinf(s.RawGuaranteeAt(0, 1.0).epsilon));
+      CHECK_NEAR(s.GuaranteeAt(0, 1.0).epsilon, 1.0, 0.0);
+      for (size_t t : {size_t{4}, size_t{12}, s.target_rounds()}) {
+        NetworkShufflingBoundInput in;
+        in.epsilon0 = 1.0;
+        in.n = g.num_nodes();
+        in.sum_p_squares = SumSquaresBound(pi, s.spectral_gap(), t);
+        const double expected = protocol == ReportingProtocol::kSingle
+                                    ? EpsilonSingle(in)
+                                    : EpsilonAllStationary(in);
+        const PrivacyParams raw = s.RawGuaranteeAt(t, 1.0);
+        CHECK(raw.epsilon == expected ||
+              (std::isinf(raw.epsilon) && std::isinf(expected)));
+        CHECK_NEAR(raw.delta, 1e-6, 1e-18);
+      }
+    }
 
-    SessionConfig bound_cfg;
-    bound_cfg.SetGraph(Graph(g)).SetEpsilon0(eps0);
-    Session bound = Session::Create(std::move(bound_cfg)).value();
-    CHECK(std::string(bound.accountant().name()) == "stationary_bound");
+    // The certificate covers the worst-placed user: on an irregular graph,
+    // at every round up to the target, it is at least Theorem 5.3 at the
+    // largest exact sum P^2 over all origins.
+    Rng ba_rng(400);
+    const Graph ba = MakeBarabasiAlbert(200, 3, &ba_rng);
+    SessionConfig ba_cfg;
+    ba_cfg.SetGraph(Graph(ba)).SetEpsilon0(1.0);
+    Session irregular = Session::Create(std::move(ba_cfg)).value();
+    const size_t target = irregular.target_rounds();
+    std::vector<double> worst(target + 1, 0.0);
+    for (NodeId origin = 0; origin < ba.num_nodes(); ++origin) {
+      PositionDistribution d(&ba, origin);
+      for (size_t t = 1; t <= target; ++t) {
+        d.Step();
+        worst[t] = std::max(worst[t], d.SumSquares());
+      }
+    }
+    for (size_t t = 1; t <= target; ++t) {
+      NetworkShufflingBoundInput in;
+      in.epsilon0 = 1.0;
+      in.n = ba.num_nodes();
+      in.sum_p_squares = worst[t];
+      CHECK(irregular.RawGuaranteeAt(t, 1.0).epsilon >=
+            EpsilonAllStationary(in));
+    }
 
-    SessionConfig exact_cfg;
-    exact_cfg.SetGraph(Graph(g))
-        .SetEpsilon0(eps0)
-        .SetAccountant(std::make_shared<SymmetricExactAccountant>());
-    Session exact = Session::Create(std::move(exact_cfg)).value();
-    CHECK(std::string(exact.accountant().name()) == "symmetric_exact");
-
-    SessionConfig mc_cfg;
-    mc_cfg.SetGraph(Graph(g))
-        .SetEpsilon0(eps0)
-        .SetAccountant(std::make_shared<MonteCarloAccountant>(10, 0.95));
-    Session mc = Session::Create(std::move(mc_cfg)).value();
-    CHECK(std::string(mc.accountant().name()) == "monte_carlo");
-
-    const double eps_bound = bound.RawGuaranteeAt(t, eps0).epsilon;
-    const double eps_exact = exact.RawGuaranteeAt(t, eps0).epsilon;
-    const double eps_mc = mc.RawGuaranteeAt(t, eps0).epsilon;
-    CHECK(std::isfinite(eps_bound));
-    CHECK(std::isfinite(eps_exact));
-    CHECK(std::isfinite(eps_mc));
-    // Exact tracking and data-dependent accounting never certify less than
-    // the worst-case closed form (tiny tolerance for fp noise).
-    CHECK(eps_exact <= eps_bound + 1e-9);
-    CHECK(eps_mc <= eps_bound + 1e-9);
-
-    // Ascending-round queries reuse the exact accountant's cached walk (and
-    // past the oscillatory early rounds the certified eps keeps shrinking).
-    CHECK(exact.RawGuaranteeAt(t + 4, eps0).epsilon <= eps_exact * 1.01);
-
-    // One accountant shared across successively created sessions must not
-    // leak walk state between them (the sessions can reuse the same stack
-    // address, defeating a pointer-keyed cache; Create invalidates).
-    Rng share_rng(31);
-    const Graph sparse = MakeRandomRegular(500, 4, &share_rng);
-    const Graph dense = MakeRandomRegular(500, 16, &share_rng);
-    const auto query = [&](const Graph& graph,
-                           std::shared_ptr<Accountant> acct) {
-      SessionConfig c;
-      c.SetGraph(Graph(graph)).SetEpsilon0(1.0).SetAccountant(
-          std::move(acct));
-      Session s = Session::Create(std::move(c)).value();
-      return s.RawGuaranteeAt(8, 1.0).epsilon;
-    };
-    const auto shared = std::make_shared<SymmetricExactAccountant>();
-    (void)query(sparse, shared);  // populate the cache on the sparse graph
-    CHECK_NEAR(query(dense, shared),
-               query(dense, std::make_shared<SymmetricExactAccountant>()),
-               0.0);
-  }
-
-  // ---- Accountant cloning (satellite: copied-config footgun) --------------
-  {
-    // A SessionConfig is copyable; Create must adopt a Clone() of the
-    // configured accountant, so the two sessions below — and the instance
-    // the caller still holds — are three distinct objects.
-    const auto configured = std::make_shared<SymmetricExactAccountant>();
+    // Two sessions built from one (copied) config certify identically, and
+    // interleaved queries never perturb each other: the certificate keeps
+    // no state between queries.
     SessionConfig base;
-    base.SetGraph(SmallExpander(400, 8, 11))
-        .SetEpsilon0(1.0)
-        .SetAccountant(configured);
+    base.SetGraph(SmallExpander(400, 8, 11)).SetEpsilon0(1.0);
     SessionConfig copy = base;
     Session s1 = Session::Create(std::move(base)).value();
     Session s2 = Session::Create(std::move(copy)).value();
-    CHECK(&s1.accountant() != &s2.accountant());
-    CHECK(&s1.accountant() != configured.get());
-    CHECK(&s2.accountant() != configured.get());
-    // The clones answer independently and identically: interleaved queries
-    // on one session never perturb the other's cached walk state.
-    (void)s1.RawGuaranteeAt(12, 1.0);  // advance s1's cache past s2's
-    CHECK_NEAR(s1.RawGuaranteeAt(8, 1.0).epsilon,
-               s2.RawGuaranteeAt(8, 1.0).epsilon, 0.0);
-    // The caller's instance was never mutated by either Create: its first
-    // query builds a fresh cache and agrees too.
-    AccountingContext ctx;
-    ctx.epsilon0 = 1.0;
-    ctx.n = s1.graph().num_nodes();
-    ctx.rounds = 8;
-    ctx.graph = &s1.graph();
-    ctx.spectral_gap = s1.spectral_gap();
-    ctx.stationary_sum_squares = StationarySumSquares(s1.graph());
-    CHECK_NEAR(configured->Certify(ctx).epsilon,
-               s1.RawGuaranteeAt(8, 1.0).epsilon, 0.0);
+    const double at8 = s1.RawGuaranteeAt(8, 1.0).epsilon;
+    (void)s1.RawGuaranteeAt(12, 1.0);
+    CHECK_NEAR(s1.RawGuaranteeAt(8, 1.0).epsilon, at8, 0.0);
+    CHECK_NEAR(s2.RawGuaranteeAt(8, 1.0).epsilon, at8, 0.0);
   }
 
   // ---- Serving lifecycle: ingest -> seal -> exchange -> finalize ----------
@@ -491,24 +465,18 @@ int main() {
     CHECK(strict.Rewire(MakeCirculant(400, 4)).code() ==
           StatusCode::kRoundsBelowMixingFloor);
 
-    // Rewiring invalidates cached walk state: a symmetric-exact session
-    // queried before the swap must afterwards certify exactly what a fresh
-    // session on the final topology does.
-    const auto regular = [](uint64_t seed) {
-      Rng r(seed);
-      return MakeRandomRegular(400, 8, &r);
-    };
-    SessionConfig exact_cfg;
-    exact_cfg.SetGraph(regular(21))
-        .SetEpsilon0(1.0)
-        .SetAccountant(std::make_shared<SymmetricExactAccountant>());
-    Session rewired = Session::Create(std::move(exact_cfg)).value();
-    (void)rewired.RawGuaranteeAt(8, 1.0);  // populate the walk cache
-    CHECK(rewired.Rewire(regular(22)).ok());
+    // After a rewire the session certifies exactly what a fresh session on
+    // the final topology does: the gap and the stationary moments are both
+    // re-derived, here across a regular -> irregular swap.
+    Rng ba_rng(22);
+    const Graph irregular = MakeBarabasiAlbert(400, 4, &ba_rng);
+    SessionConfig rewired_cfg;
+    rewired_cfg.SetGraph(SmallExpander(400, 8, 21)).SetEpsilon0(1.0);
+    Session rewired = Session::Create(std::move(rewired_cfg)).value();
+    (void)rewired.RawGuaranteeAt(8, 1.0);
+    CHECK(rewired.Rewire(Graph(irregular)).ok());
     SessionConfig fresh_cfg;
-    fresh_cfg.SetGraph(regular(22))
-        .SetEpsilon0(1.0)
-        .SetAccountant(std::make_shared<SymmetricExactAccountant>());
+    fresh_cfg.SetGraph(Graph(irregular)).SetEpsilon0(1.0);
     Session fresh = Session::Create(std::move(fresh_cfg)).value();
     CHECK_NEAR(rewired.RawGuaranteeAt(10, 1.0).epsilon,
                fresh.RawGuaranteeAt(10, 1.0).epsilon, 0.0);

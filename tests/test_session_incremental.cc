@@ -108,7 +108,8 @@ void CheckIncrementalEqualsOneShot(const Graph& g,
   opts.rounds = kRounds;
   opts.seed = kSeed;
   opts.metrics = &oneshot_metrics;
-  const ProtocolResult oneshot = RunProtocol(g, protocol, opts);
+  const ProtocolResult oneshot =
+      FinalizeProtocol(RunExchange(g, opts), protocol, opts.seed);
   const MetricsSnapshot oneshot_m = Snapshot(oneshot_metrics);
 
   // Session::Run (step-to-target + finalize).
@@ -139,7 +140,7 @@ void CheckIncrementalEqualsOneShot(const Graph& g,
   // One round at a time, checking the incremental accounting curve against
   // the closed form the facade reported at every prefix.
   Session single_steps = MakeSession(g, protocol, nullptr);
-  const double pi_sq = StationarySumSquares(g);
+  const StationaryMoments pi = ComputeStationaryMoments(g);
   for (size_t t = 1; t <= kRounds; ++t) {
     CHECK(single_steps.Step(1).ok());
     CHECK(single_steps.current_round() == t);
@@ -147,7 +148,7 @@ void CheckIncrementalEqualsOneShot(const Graph& g,
     in.epsilon0 = 1.0;
     in.n = kUsers;
     in.sum_p_squares =
-        SumSquaresBound(pi_sq, single_steps.spectral_gap(), t);
+        SumSquaresBound(pi, single_steps.spectral_gap(), t);
     const double closed = protocol == ReportingProtocol::kSingle
                               ? EpsilonSingle(in)
                               : EpsilonAllStationary(in);

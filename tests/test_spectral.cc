@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
+#include "data/datasets.h"
 #include "graph/generators.h"
 #include "graph/walk.h"
 #include "tests/test_util.h"
@@ -69,16 +71,70 @@ SpectralGapEstimate CheckSound(const Graph& g, double true_gap) {
   return est;
 }
 
-// Eq. 7 must dominate the exact collision mass of a walk from node 0 at
-// every round up to the mixing time the estimate implies.
-void CheckBoundDominates(const Graph& g, double gap) {
-  const double sss = StationarySumSquares(g);
+enum class Origins { kNodeZero, kAll };
+
+// SumSquaresBound must dominate the exact collision mass of the worst-placed
+// report, the largest over origins, at every round up to the mixing time
+// the estimate implies.  kNodeZero is for vertex-transitive graphs, whose
+// origins are all alike.
+void CheckBoundDominates(const Graph& g, double gap, Origins origins) {
   const size_t t_mix = MixingTime(gap, g.num_nodes());
-  PositionDistribution d(&g, 0);
-  for (size_t t = 0; t <= t_mix; ++t) {
-    CHECK(SumSquaresBound(sss, gap, t) >= d.SumSquares());
-    d.Step();
+  const size_t last = origins == Origins::kAll ? g.num_nodes() : 1;
+  std::vector<double> worst(t_mix + 1, 0.0);
+  for (NodeId origin = 0; origin < last; ++origin) {
+    PositionDistribution d(&g, origin);
+    for (size_t t = 0; t <= t_mix; ++t) {
+      worst[t] = std::max(worst[t], d.SumSquares());
+      d.Step();
+    }
   }
+  const StationaryMoments pi = ComputeStationaryMoments(g);
+  for (size_t t = 0; t <= t_mix; ++t) {
+    CHECK(SumSquaresBound(pi, gap, t) >= worst[t]);
+  }
+}
+
+// Checks an irregular (or not vertex-transitive) graph: a converged gap
+// estimate, then the bound against every origin.
+void CheckIrregular(const Graph& g) {
+  const SpectralGapEstimate est = EstimateSpectralGap(g);
+  CHECK(est.converged);
+  CHECK(est.gap > 0.0);
+  CheckBoundDominates(g, est.gap, Origins::kAll);
+}
+
+// Two cliques K_k joined by a path through `path` degree-2 nodes: cliques
+// on nodes [0, k) and [k + path, 2k + path), the path in between.
+Graph MakeBarbell(size_t k, size_t path) {
+  std::vector<Edge> edges;
+  for (const size_t base : {size_t{0}, k + path}) {
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t j = i + 1; j < k; ++j) {
+        edges.emplace_back(static_cast<NodeId>(base + i),
+                           static_cast<NodeId>(base + j));
+      }
+    }
+  }
+  for (size_t v = k - 1; v < k + path; ++v) {
+    edges.emplace_back(static_cast<NodeId>(v), static_cast<NodeId>(v + 1));
+  }
+  return Graph::FromEdges(2 * k + path, std::move(edges));
+}
+
+// `arms` odd cycles of length `len` sharing node 0: a hub of degree
+// 2 * arms among degree-2 nodes.
+Graph MakeStarOfCycles(size_t arms, size_t len) {
+  std::vector<Edge> edges;
+  NodeId next = 1;
+  for (size_t a = 0; a < arms; ++a) {
+    NodeId prev = 0;
+    for (size_t i = 1; i < len; ++i) {
+      edges.emplace_back(prev, next);
+      prev = next++;
+    }
+    edges.emplace_back(prev, 0);
+  }
+  return Graph::FromEdges(next, std::move(edges));
 }
 
 }  // namespace
@@ -104,9 +160,9 @@ int main() {
       CheckSound(MakeCirculant(65, 64), 1.0 - 1.0 / 64.0);
   CHECK(complete.iterations <= 2);
 
-  CheckBoundDominates(cycle, cycle_est.gap);
-  CheckBoundDominates(circulant, circulant_est.gap);
-  CheckBoundDominates(torus, torus_est.gap);
+  CheckBoundDominates(cycle, cycle_est.gap, Origins::kNodeZero);
+  CheckBoundDominates(circulant, circulant_est.gap, Origins::kNodeZero);
+  CheckBoundDominates(torus, torus_est.gap, Origins::kNodeZero);
 
   // ---- Expanders ----------------------------------------------------------
   Graph dense = MakeCirculant(64, 62);
@@ -114,15 +170,35 @@ int main() {
 
   // Random regular graphs sit at Friedman's gap.  No closed form bounds
   // their gap from above, so the estimate gets a 0.01 window around it and
-  // Eq. 7 must still dominate the exact collision mass.
+  // the bound must still dominate the exact collision mass.  These graphs
+  // are not vertex-transitive, but on a regular graph sum_v P_u(t)_v^2 =
+  // P^{2t}_uu <= 1/n + lambda^{2t} (1 - 1/n) for every u by the spectral
+  // decomposition, so node 0 stands in for all origins here; the sweep
+  // over every origin runs on the smaller random regular graph below.
   Rng friedman(20221017);
   for (size_t k : {size_t{3}, size_t{4}, size_t{8}, size_t{20}}) {
     const Graph g = MakeRandomRegular(4000, k, &friedman);
     const SpectralGapEstimate est = EstimateSpectralGap(g);
     CHECK(est.converged);
     CHECK_NEAR(est.gap, FriedmanGap(k), 0.01);
-    CheckBoundDominates(g, est.gap);
+    CheckBoundDominates(g, est.gap, Origins::kNodeZero);
   }
+
+  // ---- Worst origin on irregular graphs ------------------------------------
+  // Eq. 7, sum pi^2 + lambda^{2t}, falls below the worst origin's exact
+  // sum P^2 at 4-19 of the rounds before mixing on the Barabasi-Albert
+  // graph, each stand-in and the star of cycles; the l2(pi) bound must
+  // never.  The barbell is the slow-mixing case.
+  CheckIrregular(MakeRandomRegular(400, 3, &friedman));
+  Rng ba(400);
+  CheckIrregular(MakeBarabasiAlbert(400, 3, &ba));
+  for (const RealWorldSpec& spec : RealWorldSpecs()) {
+    CheckIrregular(MakeDatasetByName(spec.name, 2022,
+                                     700.0 / static_cast<double>(spec.n))
+                       .graph);
+  }
+  CheckIrregular(MakeBarbell(8, 5));
+  CheckIrregular(MakeStarOfCycles(6, 15));
 
   // A random 8-regular expander reaches that gap in far fewer steps than
   // the slow families.

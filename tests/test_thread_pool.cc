@@ -46,7 +46,7 @@ int main() {
   for (int h : nested) CHECK(h == 1);
 
   // ParallelBlockSum: bit-identical across thread counts (the determinism
-  // the exchange/accountant tests rely on for their float reductions).
+  // the exchange/accounting tests rely on for their float reductions).
   std::vector<double> values(50001);
   Rng rng(42);
   for (double& v : values) v = rng.UniformDouble() - 0.5;

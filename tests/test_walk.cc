@@ -4,6 +4,8 @@
 
 #include "graph/walk.h"
 
+#include <cmath>
+
 #include "graph/generators.h"
 #include "graph/spectral.h"
 #include "tests/test_util.h"
@@ -42,12 +44,21 @@ int main() {
   CHECK_NEAR(gamma_at_tmix, 1.0, 0.05);
   CHECK_NEAR(d.RhoStar(), 1.0, 0.1);
 
-  // The Eq.-7 bound dominates the exact collision mass at every checked t.
+  // The bound dominates the exact collision mass at every checked t, and
+  // on a regular graph it is Eq. 7 with the tail scaled by (1 - 1/n).
+  const StationaryMoments pi = ComputeStationaryMoments(g);
+  CHECK(pi.sigma == 0.0);
+  CHECK_NEAR(pi.pi_min, 1.0 / static_cast<double>(n), 1e-18);
+  CHECK_NEAR(pi.pi_max, 1.0 / static_cast<double>(n), 1e-18);
   PositionDistribution fresh(&g, 0);
   for (size_t t = 1; t <= 32; ++t) {
     fresh.Step();
-    CHECK(fresh.SumSquares() <=
-          SumSquaresBound(1.0 / static_cast<double>(n), gap, t) + 1e-9);
+    const double bound = SumSquaresBound(pi, gap, t);
+    CHECK(fresh.SumSquares() <= bound + 1e-9);
+    const double tail = std::pow(1.0 - gap, 2.0 * static_cast<double>(t));
+    CHECK_NEAR(bound,
+               pi.sum_squares + (1.0 - 1.0 / static_cast<double>(n)) * tail,
+               1e-12 * bound);
   }
 
   // Lazy steps slow spreading but also conserve mass.

@@ -93,7 +93,7 @@ void ThreadPool::RunChunks(size_t chunks, const std::function<void(size_t)>& fn)
   if (chunks == 0) return;
   // Serial fallbacks: a 1-wide pool, a single chunk, or nested dispatch
   // from inside a parallel region (a worker, or the dispatcher running its
-  // own share — the accountant-trial -> exchange case) all run inline.
+  // own share — the Monte-Carlo trial -> exchange case) all run inline.
   // Results are identical either way; see the determinism contract in the
   // header.
   if (workers_.empty() || chunks == 1 || InParallelRegion()) {

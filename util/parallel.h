@@ -62,8 +62,8 @@ size_t ThreadCount();
 /// exchange round is in flight (core/session.h "Concurrency contract").
 /// Nested dispatch — from a worker, or from the dispatcher's own share of
 /// an outer job — runs inline instead of deadlocking, which is what lets
-/// the accountant's parallel trials call the (also parallel) exchange
-/// engine.
+/// the Monte-Carlo analysis's parallel trials (core/accounting.h) call the
+/// (also parallel) exchange engine.
 class ThreadPool {
  public:
   /// `threads` is the total parallelism including the dispatching thread, so
