@@ -25,8 +25,8 @@ namespace netshuffle {
 namespace {
 
 // One-round ResumeExchange steps over `g`, reusing state and workspace
-// across iterations (first_round advances, so every iteration draws fresh
-// per-round streams — no two iterations do identical work).
+// across iterations (the state's round count advances, so every iteration
+// draws fresh per-round streams — no two iterations do identical work).
 void StepRounds(benchmark::State& state, const Graph& g) {
   const size_t n = g.num_nodes();
   ExchangeWorkspace ws;
@@ -34,7 +34,6 @@ void StepRounds(benchmark::State& state, const Graph& g) {
   for (auto _ : state) {
     ExchangeOptions opts;
     opts.rounds = 1;
-    opts.first_round = ex.rounds;
     opts.seed = 7;
     ex = ResumeExchange(g, std::move(ex), opts, &ws);
     benchmark::DoNotOptimize(ex.holdings.num_reports());

@@ -114,7 +114,7 @@ Expected<Session> Session::Create(SessionConfig config) {
   //   - the configured payloads are already hosted: adopt their backend;
   //   - kMmap requested: create a backend, then SPILL the configured
   //     payloads (or a payload-free identity) into a hosted arena, so the
-  //     exchange's columns land on disk regardless of how the reports were
+  //     payload columns land on disk regardless of how the reports were
   //     assembled;
   //   - default: no backend, pure heap, zero new work.
   // All directory/file failures surface here as typed kIoError.
@@ -214,7 +214,6 @@ Status Session::Step(size_t k) {
   ns::ReaderMutexLock structure(&sync_->structure);
   ExchangeOptions opts;
   opts.rounds = k;
-  opts.first_round = state_.rounds;
   opts.seed = epoch_seed_;
   opts.faults = faults_;
   opts.metrics = metrics_;

@@ -117,13 +117,15 @@ class SessionConfig {
     return *this;
   }
 
-  /// Where the session's columnar state lives (DESIGN.md §9).  The default
-  /// kInRam is today's heap behavior at zero cost.  kMmap puts the payload
-  /// columns and the double-buffered routing columns in mmap'd files under
-  /// a private tmpdir (removed when the session — and anything sharing its
-  /// arenas, e.g. a ProtocolResult — is destroyed), so n = 10^7-10^8
-  /// exchanges run in a RAM budget sized for the graph and scratch, not the
-  /// population.  Create surfaces directory/file failures as kIoError.
+  /// Where the session's write-once payload columns live (DESIGN.md §9).
+  /// The default kInRam keeps them on the heap.  kMmap streams them to
+  /// files under a private tmpdir at injection and maps them read-only at
+  /// seal (the tmpdir is removed when the session — and anything sharing
+  /// its arenas, e.g. a ProtocolResult — is destroyed), so the payload
+  /// bytes never need to be resident.  The routing double buffer is
+  /// rewritten every round and stays on the heap under both kinds; an
+  /// exchange round never touches disk.  Create surfaces directory/file
+  /// failures as kIoError.
   SessionConfig& SetStorage(StorageBackendConfig storage) {
     storage_ = std::move(storage);
     return *this;
@@ -316,10 +318,8 @@ class Session {
     return *state_.payloads;
   }
   /// The session's storage backend, or nullptr for the in-RAM default.
-  /// Benches read its StorageIoStats for bytes-moved/user and read-
-  /// amplification reporting; dir() names the tmpdir holding the column
-  /// files (removed when the last owner — session, in-flight results —
-  /// goes away).
+  /// dir() names the tmpdir holding the payload column files (removed when
+  /// the last owner — session, in-flight results — goes away).
   const StorageBackend* storage_backend() const { return backend_.get(); }
   double epsilon0() const { return epsilon0_; }
   const std::string& mechanism_name() const { return mechanism_name_; }
@@ -527,8 +527,8 @@ class Session {
   bool allow_non_ergodic_ = false;
   bool require_mixed_rounds_ = false;
 
-  /// Non-null iff the session's columns are file-backed (DESIGN.md §9).
-  /// Shared with every hosted arena/store, so the tmpdir outlives any
+  /// Non-null iff the session's payload columns are file-backed (DESIGN.md
+  /// §9).  Shared with every hosted arena, so the tmpdir outlives any
   /// result still referencing the column files and is removed with the
   /// last reference.
   std::shared_ptr<StorageBackend> backend_;

@@ -1,7 +1,6 @@
 // POSIX implementation of the storage backends (shuffle/backend.h):
-// mkdtemp-owned column directories, MAP_SHARED file mappings with typed
-// creation/open errors, page-aligned madvise with per-block touch
-// accounting, and the buffered write(2) streams behind PayloadStream.
+// mkdtemp-owned column directories, read-only file mappings with typed
+// open errors, and the buffered write(2) streams behind PayloadStream.
 
 #include "shuffle/backend.h"
 
@@ -12,8 +11,9 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
+#include <cstdio>
+#include <cstring>
 
 namespace netshuffle {
 namespace {
@@ -26,11 +26,6 @@ std::string ErrnoText() {
 Status IoError(const std::string& what, const std::string& path) {
   return Status::Error(StatusCode::kIoError, what + " '" + path +
                                                  "': " + ErrnoText());
-}
-
-size_t PageSize() {
-  static const size_t kPage = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-  return kPage;
 }
 
 /// write(2) until done; short writes are legal and must be resumed.
@@ -62,28 +57,6 @@ StorageBackendKind ParseBackendKind(const char* value) {
 
 // ---- MappedFile -------------------------------------------------------------
 
-Expected<std::shared_ptr<MappedFile>> MappedFile::CreateWritable(
-    std::string path, size_t bytes) {
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
-  if (fd < 0) return IoError("cannot create column file", path);
-  if (bytes > 0 && ::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
-    const Status status = IoError("cannot size column file", path);
-    ::close(fd);
-    return status;
-  }
-  void* map = nullptr;
-  if (bytes > 0) {
-    map = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-    if (map == MAP_FAILED) {
-      const Status status = IoError("cannot map column file", path);
-      ::close(fd);
-      return status;
-    }
-  }
-  return std::shared_ptr<MappedFile>(
-      new MappedFile(std::move(path), fd, map, bytes, /*writable=*/true));
-}
-
 Expected<std::shared_ptr<MappedFile>> MappedFile::OpenReadOnly(
     std::string path, size_t min_bytes) {
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -112,50 +85,13 @@ Expected<std::shared_ptr<MappedFile>> MappedFile::OpenReadOnly(
       return status;
     }
   }
-  return Expected<std::shared_ptr<MappedFile>>(std::shared_ptr<MappedFile>(
-      new MappedFile(std::move(path), fd, map, bytes, /*writable=*/false)));
+  return Expected<std::shared_ptr<MappedFile>>(
+      std::shared_ptr<MappedFile>(new MappedFile(fd, map, bytes)));
 }
 
 MappedFile::~MappedFile() {
   if (map_ != nullptr) ::munmap(map_, bytes_);
   if (fd_ >= 0) ::close(fd_);
-}
-
-Status MappedFile::Resize(size_t bytes) {
-  if (!writable_) {
-    return Status::Error(StatusCode::kIoError,
-                         "cannot resize read-only mapping '" + path_ + "'");
-  }
-  if (bytes == bytes_) return Status::Ok();
-  if (map_ != nullptr) {
-    ::munmap(map_, bytes_);
-    map_ = nullptr;
-  }
-  if (::ftruncate(fd_, static_cast<off_t>(bytes)) != 0) {
-    bytes_ = 0;
-    return IoError("cannot resize column file", path_);
-  }
-  bytes_ = bytes;
-  if (bytes > 0) {
-    map_ = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
-    if (map_ == MAP_FAILED) {
-      map_ = nullptr;
-      bytes_ = 0;
-      return IoError("cannot remap column file", path_);
-    }
-  }
-  return Status::Ok();
-}
-
-void MappedFile::Advise(size_t offset, size_t len, int advice) const {
-  if (map_ == nullptr || len == 0 || offset >= bytes_) return;
-  len = std::min(len, bytes_ - offset);
-  const size_t page = PageSize();
-  const size_t begin = offset & ~(page - 1);
-  const size_t end = std::min(bytes_, (offset + len + page - 1) & ~(page - 1));
-  // Advice is a hint: failure (e.g. an exotic filesystem) costs performance,
-  // never correctness, so the return value is deliberately dropped.
-  (void)::madvise(static_cast<uint8_t*>(map_) + begin, end - begin, advice);
 }
 
 // ---- StorageBackend ---------------------------------------------------------
@@ -173,9 +109,8 @@ Expected<std::shared_ptr<StorageBackend>> StorageBackend::Create(
   if (::mkdtemp(buf.data()) == nullptr) {
     return IoError("cannot create backend directory under", parent);
   }
-  if (config.block_bytes == 0) config.block_bytes = 2u << 20;
   return std::shared_ptr<StorageBackend>(
-      new StorageBackend(std::string(buf.data()), config.block_bytes));
+      new StorageBackend(std::string(buf.data())));
 }
 
 StorageBackend::~StorageBackend() {
@@ -200,53 +135,6 @@ StorageBackend::~StorageBackend() {
 std::string StorageBackend::NextPath(const char* stem) {
   ns::MutexLock lock(&mu_);
   return dir_ + "/" + stem + "." + std::to_string(next_file_++);
-}
-
-void StorageBackend::RecordWrite(uint64_t bytes) {
-  ns::MutexLock lock(&mu_);
-  stats_.bytes_written += bytes;
-}
-
-void StorageBackend::RecordWillNeed(const std::string& path, uint64_t offset,
-                                    uint64_t len) {
-  if (len == 0) return;
-  ns::MutexLock lock(&mu_);
-  stats_.logical_bytes_advised += len;
-  const uint64_t first_block = offset / block_bytes_;
-  const uint64_t last_block = (offset + len - 1) / block_bytes_;
-  std::vector<uint32_t>& touches = block_touches_[path];
-  if (touches.size() <= last_block) touches.resize(last_block + 1, 0);
-  for (uint64_t b = first_block; b <= last_block; ++b) {
-    ++touches[b];
-    ++stats_.block_touches;
-    stats_.block_bytes_advised += block_bytes_;
-    stats_.max_block_touches =
-        std::max<uint64_t>(stats_.max_block_touches, touches[b]);
-  }
-}
-
-void StorageBackend::RecordDontNeed(uint64_t bytes) {
-  ns::MutexLock lock(&mu_);
-  stats_.bytes_dropped += bytes;
-}
-
-StorageIoStats StorageBackend::stats() const {
-  ns::MutexLock lock(&mu_);
-  return stats_;
-}
-
-// ---- FlatColumn advice helpers ---------------------------------------------
-
-void AdviseColumnWillNeed(const MappedFile& file, StorageBackend* backend,
-                          size_t offset, size_t len) {
-  file.Advise(offset, len, MADV_WILLNEED);
-  if (backend != nullptr) backend->RecordWillNeed(file.path(), offset, len);
-}
-
-void AdviseColumnDontNeed(const MappedFile& file, StorageBackend* backend,
-                          size_t len) {
-  file.Advise(0, len, MADV_DONTNEED);
-  if (backend != nullptr) backend->RecordDontNeed(len);
 }
 
 // ---- PayloadStream ----------------------------------------------------------
@@ -309,7 +197,6 @@ void PayloadStream::AppendRaw(Column* col, const void* data, size_t size) {
     col->buf.insert(col->buf.end(), src, src + size);
   }
   col->written += size;
-  backend_->RecordWrite(size);
 }
 
 void PayloadStream::FlushColumn(Column* col) {

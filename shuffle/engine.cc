@@ -441,12 +441,6 @@ ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
 
   ExchangeResult result;
   ReportStore& store = result.holdings;
-  // A file-backed arena puts the routing columns on the same backend: the
-  // exchange over 10^7+ users keeps RAM for the graph and scratch, not the
-  // population's state (DESIGN.md §9).
-  if (std::shared_ptr<StorageBackend> backend = payloads.backend()) {
-    store.Host(backend, "route");
-  }
   store.AllocateFor(n, n);
   // Counting-sort injection: holdings[u] = ids with origin u, ascending.
   uint32_t* offsets = store.mutable_offsets();
@@ -495,35 +489,15 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
   if (!valid.ok()) NETSHUFFLE_FATAL(valid.ToString());
   std::optional<ExchangeWorkspace> call_scratch;
   if (workspace == nullptr) workspace = &call_scratch.emplace();
-  if (options.first_round != prior.rounds) {
-    // A mismatched offset would draw coins from the wrong per-round streams
-    // and silently diverge from the one-shot schedule.
-    NETSHUFFLE_FATAL("ResumeExchange: options.first_round (" +
-                     std::to_string(options.first_round) +
-                     ") must equal the rounds already executed (" +
-                     std::to_string(prior.rounds) + ")");
-  }
 
   const size_t n = g.num_nodes();
   ExchangeResult result = std::move(prior);
+  const size_t prior_rounds = result.rounds;
   result.rounds += options.rounds;
   if (n == 0) return result;
 
   ReportStore& store = result.holdings;
   const size_t total = store.num_reports();
-
-  // Keep the double-buffer partner on the live store's backend (both
-  // directions: a reused workspace may arrive heap-backed for a hosted
-  // exchange, or hosted — possibly on a DIFFERENT backend — for a heap or
-  // re-hosted one).  Matched states cost one branch, so the in-RAM steady
-  // state stays allocation-free.
-  if (workspace->next_.hosted() &&
-      workspace->next_.backend() != store.backend()) {
-    workspace->next_.Unhost();
-  }
-  if (store.hosted() && !workspace->next_.hosted()) {
-    workspace->next_.Host(store.backend(), "route");
-  }
 
   // Users are sharded into contiguous ranges, one shard per pool slot; a
   // shard is both a source (its users' hops) and a destination (its users'
@@ -601,21 +575,11 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
   for (size_t step = 0; step < options.rounds; ++step) {
     // The absolute round index keys the RNG streams, so resumed chunks draw
     // exactly the coins the one-shot schedule would.
-    const size_t round = options.first_round + step;
+    const size_t round = prior_rounds + step;
     const uint32_t* offsets = store.offsets_data();
     const ReportId* arena = store.arena_data();
     uint32_t* next_offsets = ws.next_.mutable_offsets();
     ReportId* next_arena = ws.next_.mutable_arena();
-
-    // Out-of-core schedule (DESIGN.md §9): prefault each shard's source
-    // slice before the hop walks it, one madvise(WILLNEED) per shard slice,
-    // recorded in the backend's per-block touch accounting.  Heap stores:
-    // one branch, nothing else.
-    if (store.hosted()) {
-      for (size_t c = 0; c < shards; ++c) {
-        store.AdviseWillNeed(offsets[bounds[c]], offsets[bounds[c + 1]]);
-      }
-    }
 
     // Source phase (parallel over shards): batched coin fill, degree-class
     // address mapping and the destination gather (HopShard, DESIGN.md
@@ -654,12 +618,6 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
                        next_offsets + 1, next_arena, holder_v, holder_b);
     });
     store.SwapWith(&ws.next_);
-
-    // ws.next_ now holds the round's consumed source buffer; every byte of
-    // it is rewritten before it is read again, so a file-backed buffer can
-    // drop its resident pages entirely (MAP_SHARED: the kernel keeps the
-    // data, only this process's RSS falls).
-    if (ws.next_.hosted()) ws.next_.AdviseDontNeedAll();
 
     // Metrics merge, on the coordinating thread, in shard order.
     if (options.metrics != nullptr) {

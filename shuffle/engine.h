@@ -62,11 +62,6 @@ struct ExchangeOptions {
   /// core/session.h SessionConfig::SetRounds.
   size_t rounds = 1;
   uint64_t seed = 1;
-  /// Absolute index of the first round this call executes.  Every coin is
-  /// drawn from a stream keyed on (seed, first_round + i, user), so a run
-  /// split into Session::Step chunks draws exactly the coins of the
-  /// equivalent one-shot run.  RunExchange starts fresh exchanges at 0.
-  size_t first_round = 0;
   /// Optional availability model; nullptr = everyone always awake.
   const FaultModel* faults = nullptr;
   /// Optional complexity counters, filled during the run.
@@ -90,11 +85,10 @@ struct ExchangeResult {
 class ExchangeWorkspace;
 
 /// Advances `prior` (from StartExchange or a previous call) by
-/// options.rounds further rounds.  options.first_round must equal
-/// prior.rounds — that is what makes the incremental run bit-identical to a
-/// one-shot RunExchange over the combined rounds.  Fatal on
-/// options.rounds == 0 and on a first_round/prior mismatch (a wrong offset
-/// would silently draw coins from the wrong per-round streams).
+/// options.rounds further rounds.  Every coin is drawn from a stream keyed
+/// on (seed, prior.rounds + i, user), so a run split into Session::Step
+/// chunks draws exactly the coins of the equivalent one-shot RunExchange.
+/// Fatal on options.rounds == 0.
 ///
 /// A null `workspace` allocates scratch for this call only; incremental
 /// callers (Session::Step) pass a persistent one so repeated short calls
@@ -115,9 +109,11 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
 /// tests/test_session_incremental.cc).
 ///
 /// Purely scratch: no routing decision ever reads workspace contents from a
-/// previous round, so reusing one workspace across exchanges (or graphs of
-/// different sizes) cannot change results.  Not thread-safe — one workspace
-/// per concurrently executing exchange.
+/// previous round, so reusing one workspace across exchanges (graphs of
+/// different sizes, heap or file-backed payloads) cannot change results.
+/// Every buffer here is heap memory under both storage backends: only the
+/// write-once payload columns are file-backed (DESIGN.md §9).  Not
+/// thread-safe — one workspace per concurrently executing exchange.
 class ExchangeWorkspace {
  public:
   ExchangeWorkspace() = default;

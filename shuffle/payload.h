@@ -83,8 +83,8 @@ class PayloadArena {
   }
 
   bool hosted() const { return hosted_ != nullptr; }
-  /// The hosting backend (null for a heap arena) — the engine derives the
-  /// routing columns' hosting from this.
+  /// The hosting backend (null for a heap arena) — a Session adopts it
+  /// when its configured payloads arrive already hosted.
   std::shared_ptr<StorageBackend> backend() const {
     return hosted_ ? hosted_->backend() : nullptr;
   }

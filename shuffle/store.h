@@ -12,27 +12,20 @@
 // two same-sized stores and swaps them every round (double buffering)
 // instead of reallocating.
 //
-// Storage seam (DESIGN.md §9): both columns are FlatColumn<T>, heap vectors
-// by default.  Host() moves them onto a StorageBackend as two mmap'd files
-// (ids + offsets), after which the engine drives round-granular
-// madvise(WILLNEED/DONTNEED) through AdviseWillNeed/AdviseDontNeedAll so a
-// file-backed exchange keeps only the active shard slices resident.  The
-// accessors hand out the same raw pointers either way — the hop/scatter
-// kernels cannot tell the difference.
+// Both buffers are rewritten every round, so they are the exchange's
+// working set and stay on the heap under every storage backend; only the
+// write-once payload columns can be file-backed (DESIGN.md §9).
 
 #ifndef NETSHUFFLE_SHUFFLE_STORE_H_
 #define NETSHUFFLE_SHUFFLE_STORE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/status.h"
 #include "graph/graph.h"
-#include "shuffle/backend.h"
 #include "shuffle/protocol.h"
 
 namespace netshuffle {
@@ -65,16 +58,14 @@ class ReportStore {
     CheckedNarrow32(n, "ReportStore user count");
     arena_.resize(n);
     offsets_.resize(n + 1);
-    ReportId* arena = arena_.data();
-    uint32_t* offsets = offsets_.data();
     for (size_t u = 0; u < n; ++u) {
-      arena[u] = static_cast<ReportId>(u);
+      arena_[u] = static_cast<ReportId>(u);
       // ns-lint: allow(narrow32): u < n, checked by the CheckedNarrow32
       // at the top of this function.
-      offsets[u] = static_cast<uint32_t>(u);
+      offsets_[u] = static_cast<uint32_t>(u);
     }
     // ns-lint: allow(narrow32): n checked at the top of this function.
-    offsets[n] = static_cast<uint32_t>(n);
+    offsets_[n] = static_cast<uint32_t>(n);
   }
 
   /// Sizes the buffers without initializing contents — the double-buffer
@@ -86,7 +77,7 @@ class ReportStore {
   }
 
   size_t num_users() const {
-    return offsets_.size() == 0 ? 0 : offsets_.size() - 1;
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
   /// Total reports across all users (== num_users() for a conserved
   /// exchange).
@@ -94,14 +85,12 @@ class ReportStore {
 
   size_t count(NodeId u) const {
     BoundsCheck(u, "count");
-    const uint32_t* offsets = offsets_.data();
-    return offsets[u + 1] - offsets[u];
+    return offsets_[u + 1] - offsets_[u];
   }
   ReportSpan reports(NodeId u) const {
     BoundsCheck(u, "reports");
-    const uint32_t* offsets = offsets_.data();
-    return ReportSpan(arena_.data() + offsets[u],
-                      arena_.data() + offsets[u + 1]);
+    return ReportSpan(arena_.data() + offsets_[u],
+                      arena_.data() + offsets_[u + 1]);
   }
 
   /// Flat access for the routing pass and benches.  offsets_data() has
@@ -112,9 +101,7 @@ class ReportStore {
   ReportId* mutable_arena() { return arena_.data(); }
   uint32_t* mutable_offsets() { return offsets_.data(); }
 
-  /// O(1) buffer exchange — one round's double-buffer flip.  Hosting moves
-  /// with the columns: after a swap between a hosted and a heap store, each
-  /// has the other's backing.
+  /// O(1) buffer exchange — one round's double-buffer flip.
   void SwapWith(ReportStore* other) {
     arena_.swap(other->arena_);
     offsets_.swap(other->offsets_);
@@ -122,55 +109,10 @@ class ReportStore {
 
   /// Heap footprint of this buffer (the 10^6-node smoke test pins this to
   /// ~8 bytes/user; the engine's transient peak is two buffers plus its
-  /// routing tables).  Hosted columns contribute ~0 here by design — their
-  /// bytes live in the page cache, reported separately via FileBytes().
+  /// routing tables).
   size_t MemoryBytes() const {
-    return arena_.HeapBytes() + offsets_.HeapBytes();
-  }
-  /// Backing-file footprint when hosted (0 for a heap store).
-  size_t FileBytes() const {
-    return arena_.FileBytes() + offsets_.FileBytes();
-  }
-
-  // ---- Storage backend seam (DESIGN.md §9) ---------------------------------
-
-  bool hosted() const { return arena_.hosted(); }
-  const std::shared_ptr<StorageBackend>& backend() const {
-    return arena_.backend();
-  }
-
-  /// Moves both columns onto `backend` as "<stem>.ids" / "<stem>.off"
-  /// files (contents preserved).  No-op if already hosted.
-  void Host(const std::shared_ptr<StorageBackend>& backend,
-            const char* stem) {
-    if (hosted()) return;
-    arena_.Host(backend, backend->NextPath(
-                             (std::string(stem) + ".ids").c_str()));
-    offsets_.Host(backend, backend->NextPath(
-                               (std::string(stem) + ".off").c_str()));
-  }
-
-  /// Moves both columns back to the heap (contents preserved).
-  void Unhost() {
-    arena_.Unhost();
-    offsets_.Unhost();
-  }
-
-  /// Prefaults the arena slice holding reports [first_report, end_report)
-  /// ahead of a shard's hop pass and records the touch in the backend's
-  /// block accounting.  Heap stores: no-op.
-  void AdviseWillNeed(size_t first_report, size_t end_report) const {
-    if (end_report > first_report) {
-      arena_.AdviseWillNeed(first_report, end_report - first_report);
-    }
-  }
-
-  /// Drops this buffer's resident pages (called on the just-consumed source
-  /// buffer after a round's swap — every byte of it is rewritten before it
-  /// is read again).  Heap stores: no-op.
-  void AdviseDontNeedAll() const {
-    arena_.AdviseDontNeedAll();
-    offsets_.AdviseDontNeedAll();
+    return arena_.capacity() * sizeof(ReportId) +
+           offsets_.capacity() * sizeof(uint32_t);
   }
 
  private:
@@ -179,16 +121,15 @@ class ReportStore {
   // compare — the engine's hot loops go through the flat *_data() accessors,
   // not these per-user conveniences.
   void BoundsCheck(NodeId u, const char* op) const {
-    if (static_cast<size_t>(u) + 1 >= offsets_.size() ||
-        offsets_.data() == nullptr) {
+    if (static_cast<size_t>(u) + 1 >= offsets_.size()) {
       NETSHUFFLE_FATAL(std::string("ReportStore::") + op + "(" +
                        std::to_string(u) + "): store has " +
                        std::to_string(num_users()) + " users");
     }
   }
 
-  FlatColumn<ReportId> arena_;
-  FlatColumn<uint32_t> offsets_;  // num_users() + 1 entries
+  std::vector<ReportId> arena_;
+  std::vector<uint32_t> offsets_;  // num_users() + 1 entries
 };
 
 }  // namespace netshuffle

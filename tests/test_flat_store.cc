@@ -141,7 +141,7 @@ void CheckEquivalence(const Graph& g, size_t rounds, uint64_t seed,
       opts.faults = faults;
       ExchangeResult whole = ResumeExchange(
           g, StartExchange(g, PatternArena(g.num_nodes(), backend)), opts);
-      CHECK(whole.holdings.hosted() == (backend != nullptr));
+      CHECK(whole.payloads->hosted() == (backend != nullptr));
       CheckElementIdentical(whole, legacy);
 
       // A resumed split must replay the identical coin schedule.
@@ -152,7 +152,6 @@ void CheckEquivalence(const Graph& g, size_t rounds, uint64_t seed,
       split = ResumeExchange(g, std::move(split), first);
       ExchangeOptions rest = opts;
       rest.rounds = rounds - first.rounds;
-      rest.first_round = first.rounds;
       if (rest.rounds > 0) split = ResumeExchange(g, std::move(split), rest);
       CheckElementIdentical(split, legacy);
     }

@@ -19,14 +19,12 @@
 //     fault-free runs (the batched FirstRawDraw/FillStreamRaw fast path),
 //
 // at NS_THREADS 1/2/3/4 (3 is the one shard split that is not a power of
-// two) and under BOTH storage backends (heap and the file-backed mmap
-// tier, DESIGN.md §9 — the kernels must be bit-identical over mapped
-// memory), stepped round-by-round through ONE persistent
-// ExchangeWorkspace reused across every shape, thread count, AND backend
-// (stale scratch from a previous, differently-sized or differently-hosted
-// exchange must be invisible; crossing backends exercises the workspace's
-// Unhost/Host re-matching in ResumeExchange), plus a whole-run one-shot
-// comparison through the workspace-free overload.
+// two) and under BOTH storage backends (heap and file-backed mmap payload
+// columns, DESIGN.md §9 — routing must not depend on where the payloads
+// live), stepped round-by-round through ONE persistent ExchangeWorkspace
+// reused across every shape, thread count, AND backend (stale scratch from
+// a previous, differently-sized exchange must be invisible), plus a
+// whole-run one-shot comparison through the workspace-free overload.
 
 #include <cstdio>
 #include <memory>
@@ -124,8 +122,8 @@ void CheckIdentical(const ExchangeResult& ex,
   }
 }
 
-// One differential case: step the engine round-by-round (rounds = 1,
-// first_round = r) through the SHARED persistent workspace, checking
+// One differential case: step the engine round-by-round (rounds = 1 per
+// call) through the SHARED persistent workspace, checking
 // element identity after every round, then replay the whole run one-shot
 // through the workspace-free overload and check the final state again.
 void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
@@ -133,21 +131,18 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
              const std::shared_ptr<StorageBackend>& mmap_backend) {
   const size_t n = g.num_nodes();
   // Backend axis outside the thread axis: the SHARED workspace crosses from
-  // heap-hosted state to file-hosted state (and back, on the next case), so
-  // ResumeExchange's backend re-matching of the reused partner store runs
-  // on every transition.
+  // heap payloads to file-backed payloads (and back, on the next case).
   for (const std::shared_ptr<StorageBackend>& backend :
        {std::shared_ptr<StorageBackend>(), mmap_backend}) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
       SetThreadCount(threads);
       std::vector<std::vector<ReportId>> ref = ReferenceInit(n);
       ExchangeResult state = StartExchange(g, PatternArena(n, backend));
-      CHECK(state.holdings.hosted() == (backend != nullptr));
+      CHECK(state.payloads->hosted() == (backend != nullptr));
       CheckIdentical(state, ref);
       for (size_t r = 0; r < rounds; ++r) {
         ExchangeOptions step;
         step.rounds = 1;
-        step.first_round = r;
         step.seed = seed;
         step.faults = faults;
         state = ResumeExchange(g, std::move(state), step, ws);
@@ -253,7 +248,6 @@ int main() {
       for (size_t chunk : {size_t{1}, size_t{7}, size_t{5}}) {
         ExchangeOptions opts;
         opts.rounds = chunk;
-        opts.first_round = done;
         opts.seed = seed;
         opts.faults = &lazy;
         state = ResumeExchange(g, std::move(state), opts, &ws);

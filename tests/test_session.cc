@@ -524,26 +524,6 @@ int main() {
     CHECK(bipartite.value().spectral_gap() == 0.0);
   }
 
-  // ---- Resume offset contract --------------------------------------------
-  {
-    // A first_round that disagrees with the executed rounds would silently
-    // desynchronize the RNG streams; the engine aborts instead.
-    const pid_t pid = fork();
-    CHECK(pid >= 0);
-    if (pid == 0) {
-      Graph g = SmallExpander(100, 4);
-      ExchangeOptions opts;
-      opts.rounds = 2;
-      ExchangeResult state = StartExchange(g);
-      opts.first_round = 5;  // state has executed 0 rounds
-      (void)ResumeExchange(g, std::move(state), opts);  // must abort
-      _exit(0);
-    }
-    int wstatus = 0;
-    CHECK(waitpid(pid, &wstatus, 0) == pid);
-    CHECK(!(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0));
-  }
-
   // ---- Expected semantics -------------------------------------------------
   {
     Expected<int> good(42);

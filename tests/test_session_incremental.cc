@@ -2,7 +2,7 @@
 // chunks — with mid-run Finalize calls in between — is bit-identical to the
 // equivalent one-shot engine run, for both reporting protocols, with
 // metrics, and at 1 vs 4 threads (the engine keys every coin on the
-// absolute round index; see shuffle/engine.h ExchangeOptions::first_round).
+// absolute round index; see shuffle/engine.h ResumeExchange).
 // Also pins the ExchangeWorkspace reuse contract: steady-state Step(1)
 // calls allocate nothing (counted via a global operator new override).
 
