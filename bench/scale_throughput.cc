@@ -1,30 +1,32 @@
-// Scale study — the index-routed double-buffered exchange at paper-scale
+// Scale study — the index-routed exchange at paper-scale
 // populations (ROADMAP north star: millions of users).  Sweeps
 // n in {10^4, 10^5, 10^6} (scaled by NS_SCALE) on 20-regular and
 // Barabasi-Albert (m = 10) graphs, runs t = mixing-time rounds through the
-// counting-sort routing pass, and reports exchange throughput
+// report walk and one counting sort, and reports exchange throughput
 // (reports routed per second) plus peak RSS per row.
 //
 // The reproduced claim is architectural: no shuffler entity and O(1)-ish
 // per-user state means the simulator's footprint stays a small constant per
-// user all the way to n = 10^6.  Since DESIGN.md §4d the scatter moves a
-// 4-byte ReportId per report per round (~8 bytes/user per routing buffer in
-// shuffle/store.h) while the immutable origin/payload columns sit untouched
-// in the PayloadArena — the checked-in bench/baseline_scale.json pins the
-// PR 4 struct-routing throughput, and CI's scale job fails on a > 20% drop
+// user all the way to n = 10^6.  Each report walks with a 4-byte holder
+// (DESIGN.md §4e) and the ReportId holdings (~8 bytes/user in
+// shuffle/store.h) are sorted once per call, while the immutable
+// origin/payload columns sit untouched in the PayloadArena.  CI's scale job
+// fails on a > 20% drop below the checked-in bench/baseline_scale.json or
+// below 0.8x the parent commit's best of three interleaved runs
 // (tools/perf_gate.py).
 //
 // Out-of-core mode (NS_BACKEND=mmap, DESIGN.md §9): one big run — n = 10^6
 // x NS_SCALE users with 128-byte payloads on a degree-4 circulant — with
 // the write-once payload columns file-backed, so 136 of the 152 column
 // bytes per user (4 B origin + 4 B offset + 128 B payload) live in mmap'd
-// files while the 16 B/user routing double buffer, rewritten every round,
-// stays on the heap.  Reports throughput, the mmap phase's peak RSS
-// (asserted under NS_RSS_BUDGET_MB, which must itself be below what the
-// in-RAM columns would need — otherwise the assertion is vacuous and the
-// run fails), bytes moved per user (the payload files' size over n: the
-// exchange writes nothing else), and verifies the final holdings
-// BIT-IDENTICAL to an in-RAM exchange plus a sampled payload read-back.
+// files while the ~12 B/user routing state (holder column and holdings),
+// rewritten by every call, stays on the heap.  Reports throughput, the
+// mmap phase's peak RSS (asserted under NS_RSS_BUDGET_MB, which must
+// itself be below what the in-RAM columns would need — otherwise the
+// assertion is vacuous and the run fails), bytes moved per user (the
+// payload files' size over n: the exchange writes nothing else), and
+// verifies the final holdings BIT-IDENTICAL to an in-RAM exchange plus a
+// sampled payload read-back.
 // Emits BENCH_scale_throughput_mmap.json, gated by
 // bench/baseline_scale_mmap.json.
 
@@ -280,8 +282,8 @@ int RunOutOfCore(double scale) {
   std::printf(
       "\nReading: the exchange ran n=%zu users whose columns would need "
       "%.0f MB resident, in a %.1f MB\nhigh-water mark (%s) — "
-      "the payload columns lived in mmap'd files, the routing double\n"
-      "buffer on the heap, and the final holdings are bit-identical to the "
+      "the payload columns lived in mmap'd files, the routing state\n"
+      "on the heap, and the final holdings are bit-identical to the "
       "in-RAM backend's.\n",
       n, inram_equivalent_mb, mmap_rss_mb, budget_note);
   return 0;
@@ -356,9 +358,12 @@ int main() {
       bench.AddMetric(prefix + "_reports_per_sec", rps);
       bench.AddMetric(prefix + "_rounds", static_cast<double>(rounds));
       bench.AddMetric(prefix + "_peak_rss_mb", rss);
-      bench.AddMetric(prefix + "_routing_bytes_per_user",
-                      static_cast<double>(ex.holdings.MemoryBytes()) /
-                          static_cast<double>(n));
+      // Routing state: the holdings plus the walk's holder column.
+      bench.AddMetric(
+          prefix + "_routing_bytes_per_user",
+          static_cast<double>(ex.holdings.MemoryBytes() +
+                              ex.holders.capacity() * sizeof(NodeId)) /
+              static_cast<double>(n));
       // Headline: the regular-graph throughput at the largest n (the
       // acceptance regime: n = 10^6 at full scale).
       if (kind == 0) headline = rps;
@@ -368,11 +373,12 @@ int main() {
   t.Print();
 
   std::printf(
-      "\nReading: reports/s should stay roughly flat as n grows 100x — the "
-      "id arena + counting-sort routing\nmakes a round one allocation-free "
-      "linear pass over 4 B/report — and peak RSS should grow linearly\nin "
-      "n with a small constant (graph CSR + two ~8 B/user routing buffers + "
-      "the write-once payload\ncolumns), with no O(n)-memory shuffler "
-      "entity anywhere.\n");
+      "\nReading: reports/s should stay roughly flat as n grows 100x — a "
+      "hop is one allocation-free\npass over 4 B holders plus one adjacency "
+      "read, and the holdings are sorted once per call —\nand peak RSS "
+      "should grow linearly in n with a small constant (graph CSR + ~12 "
+      "B/user of\nrouting state + 8 B/report of sort blocks + the "
+      "write-once payload columns), with no\nO(n)-memory shuffler entity "
+      "anywhere.\n");
   return 0;
 }

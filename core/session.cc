@@ -241,9 +241,13 @@ Expected<size_t> Session::StepUntil(double target_epsilon, size_t max_rounds) {
                          "StepUntil: target_epsilon must be finite and > 0");
   }
   sync_->AssertQuiescent("Session::StepUntil");
-  while (state_.rounds < max_rounds &&
-         Guarantee().epsilon > target_epsilon) {
-    const Status s = Step(1);
+  size_t rounds = state_.rounds;
+  while (rounds < max_rounds &&
+         GuaranteeAt(rounds, epsilon0_).epsilon > target_epsilon) {
+    ++rounds;
+  }
+  if (rounds > state_.rounds) {
+    const Status s = Step(rounds - state_.rounds);
     if (!s.ok()) return s;
   }
   return state_.rounds;

@@ -122,10 +122,10 @@ class SessionConfig {
   /// files under a private tmpdir at injection and maps them read-only at
   /// seal (the tmpdir is removed when the session — and anything sharing
   /// its arenas, e.g. a ProtocolResult — is destroyed), so the payload
-  /// bytes never need to be resident.  The routing double buffer is
-  /// rewritten every round and stays on the heap under both kinds; an
-  /// exchange round never touches disk.  Create surfaces directory/file
-  /// failures as kIoError.
+  /// bytes never need to be resident.  The routing state (holder column
+  /// and holdings) is rewritten by every Step and stays on the heap under
+  /// both kinds; an exchange never touches disk.  Create surfaces
+  /// directory/file failures as kIoError.
   SessionConfig& SetStorage(StorageBackendConfig storage) {
     storage_ = std::move(storage);
     return *this;
@@ -328,18 +328,25 @@ class Session {
 
   // ---- Incremental execution ----------------------------------------------
 
-  /// Advances k exchange rounds (k >= 1; kZeroRounds otherwise).  The
-  /// engine's RNG streams are keyed on the absolute round index, so any
+  /// Advances k exchange rounds (k >= 1; kZeroRounds otherwise).  Every
+  /// report walks all k hops in one pass and the holdings are sorted once,
+  /// at the end (shuffle/engine.h ResumeExchange), so Step(k) costs k hops
+  /// plus one sort.  The engine's RNG streams are keyed on the absolute
+  /// round index and each slice lists its reports in ascending id, so any
   /// Step partition of the same total is bit-identical.
   Status Step(size_t k = 1);
 
   /// Steps to target_rounds() (no-op if already there or past).
   Status StepToTarget();
 
-  /// Early stopping: steps one round at a time until the capped guarantee
-  /// at the session eps0 drops to `target_epsilon` or `max_rounds` total
-  /// rounds are reached.  Returns the total rounds executed; kInvalidArgument
-  /// if the target is not positive.
+  /// Early stopping: advances to the first round t >= current_round() at
+  /// which the capped guarantee at the session eps0 is at most
+  /// `target_epsilon`, or to `max_rounds` total rounds if that comes first,
+  /// in one Step.  The guarantee is an O(1) function of the round count, so
+  /// t is found without stepping; the rounds and holdings are exactly those
+  /// of stepping one round at a time until the guarantee is met.  Returns
+  /// the total rounds executed; kInvalidArgument if the target is not
+  /// positive.
   Expected<size_t> StepUntil(double target_epsilon, size_t max_rounds);
 
   /// Applies the reporting protocol to the CURRENT holdings, producing the

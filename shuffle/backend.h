@@ -12,9 +12,10 @@
 //                      (buffered write(2), never resident in full) and
 //                      Freeze/Seal map the files read-only.
 //
-// The routing double buffer (shuffle/store.h) is rewritten every round —
-// it is the exchange's working set — so it stays on the heap under both
-// backends, and an exchange round never touches disk.  Holdings are
+// The routing state (the holder column and the shuffle/store.h holdings
+// sorted from it) is rewritten by every exchange call — it is the
+// exchange's working set — so it stays on the heap under both backends,
+// and an exchange never touches disk.  Holdings are
 // bit-identical across backends at any thread count
 // (tests/test_flat_store.cc and tests/test_kernel_differential.cc pin this
 // with a backend axis).

@@ -7,11 +7,6 @@
 #include "util/parallel.h"
 #include "util/rng.h"
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define NETSHUFFLE_ENGINE_AVX512 1
-#include <immintrin.h>
-#endif
-
 namespace netshuffle {
 
 uint64_t ShuffleMetrics::max_user_traffic() const {
@@ -36,11 +31,11 @@ size_t ShuffleMetrics::max_user_memory() const {
 namespace {
 
 // Upper bound on the number of routing shards.  Shard count is
-// scheduling-only (results are bit-identical at any value).  A round keeps
-// shards x shards blocks, and each destination shard walks all of its
-// source blocks, so the cap keeps the blocks from thinning out to a few
-// reports each (and the partition's per-destination cursors on the stack)
-// even under extreme NS_THREADS settings.
+// scheduling-only (results are bit-identical at any value).  The holder
+// sort keeps shards x shards blocks, and each destination shard walks all
+// of its source blocks, so the cap keeps the blocks from thinning out to a
+// few reports each (and the partition's per-destination cursors on the
+// stack) even under extreme NS_THREADS settings.
 constexpr size_t kMaxRoutingShards = 32;
 
 // A user's routing shard: (v * mul) >> 32, with
@@ -52,15 +47,15 @@ inline size_t ShardOf(uint32_t v, uint64_t mul) {
   return (uint64_t{v} * mul) >> 32;
 }
 
-// Holders per hop tile (DESIGN.md §4e): each shard processes this many
-// holders' coins before mapping them to destinations, so the coin column,
-// the address column, and the matching dest slice stay cache-resident
-// between the fill / map / dereference sub-passes (at stationarity the mean
-// holding is ~1 report, so a tile is a few tens of KB; skewed holdings —
-// a hub on a star-like graph — just grow the per-report columns to fit).
-// Tiling is scheduling-only and never splits one user's draw sequence
-// across fills.
-constexpr uint32_t kCoinTile = 4096;
+// Reports per walk block (DESIGN.md §4e).  A block's ids, coins, addresses
+// and holders stay in L1 through every round of a call, so the only memory
+// a hop touches outside the block is the graph.  The four stack arrays in
+// WalkBlock (~14 KB) are the walk's whole scratch.
+constexpr uint32_t kWalkBlock = 512;
+
+// Claim/place tile of the scatter (ScatterShard): the dest/slot slice of a
+// tile stays cache-resident between the two sub-passes.
+constexpr uint32_t kScatterTile = 4096;
 
 // Software-prefetch lookahead for the dependent random accesses (scatter
 // cursor claims and arena placements).  The tables are O(n) and miss L1/L2
@@ -70,223 +65,70 @@ constexpr uint32_t kCoinTile = 4096;
 // exposed).
 constexpr uint32_t kPrefetchAhead = 40;
 
-// Dereference the per-tile neighbor addresses into the dest column — the
-// only pass of the hop that touches random adjacency lines.  The AVX-512
-// body gathers 8 lines per instruction, widening the out-of-order miss
-// window far beyond what the scalar loop's speculation reaches.  The
-// loop does nothing else: histogramming the destinations here as well
-// measured no faster than ReceiveShard's separate pass, even at one shard
-// (DESIGN.md §4e).  Bit-identical to the scalar tail by construction.
-#if NETSHUFFLE_ENGINE_AVX512
-__attribute__((target("avx512f"))) void DerefAvx512(
-    const NodeId* const* addrs, uint32_t base, uint32_t end_off,
-    uint32_t* dests) {
-  uint32_t i = base;
-  for (; i + 8 <= end_off; i += 8) {
-    const __m512i a = _mm512_loadu_si512(addrs + (i - base));
-    const __m256i d8 = _mm512_i64gather_epi32(a, nullptr, 1);
-    // ns-lint: allow(wire): SIMD register store into the local uint32 dest
-    // column — an intrinsic-mandated pointer cast, nothing serialized
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dests + i), d8);
-  }
-  for (; i < end_off; ++i) dests[i] = *addrs[i - base];
-}
-#endif  // NETSHUFFLE_ENGINE_AVX512
-
-void Deref(const NodeId* const* addrs, uint32_t base, uint32_t end_off,
-           uint32_t* dests) {
-#if NETSHUFFLE_ENGINE_AVX512
-  static const bool kHasAvx512 = __builtin_cpu_supports("avx512f");
-  if (kHasAvx512) {
-    DerefAvx512(addrs, base, end_off, dests);
-    return;
-  }
-#endif
-  for (uint32_t i = base; i < end_off; ++i) dests[i] = *addrs[i - base];
+// Whether holder v's reports hop in absolute round t: v has a neighbor and,
+// under a fault model, is awake on its per-(seed, t, v) availability stream.
+// Every report at v reads the same stream, so they all stay or all go.
+bool Hops(const Graph& g, const ExchangeOptions& options, NodeId v,
+          size_t t) {
+  if (g.degree(v) == 0) return false;
+  if (options.faults == nullptr) return true;
+  Rng rng(ExchangeStreamSeed(options.seed, t, v));
+  return options.faults->Awake(v, t, &rng);
 }
 
-// Fault-path hop for one shard's holder slice: Awake consumes an unknowable
-// number of words from the per-(seed, round, user) stream before the
-// destination draws, so each holder's stream runs through a real Rng and
-// the destinations are drawn scalar — same words, same order, as the
-// fast path below would consume from its batch-filled coin column.
-// Availability is an exceptional regime; this path is kept simple rather
-// than fast.
-void FaultHopShard(const Graph& g, const ExchangeOptions& options,
-                   size_t round, size_t h_begin, size_t h_end,
-                   const uint32_t* holder_v, const uint32_t* holder_b,
-                   uint32_t* dests,
-                   std::vector<std::pair<NodeId, uint64_t>>* traffic) {
-  for (size_t h = h_begin; h < h_end; ++h) {
-    const NodeId v = holder_v[h];
-    const uint32_t b = holder_b[h], e = holder_b[h + 1];
-    Rng rng(ExchangeStreamSeed(options.seed, round, v));
-    const bool is_awake = options.faults->Awake(v, round, &rng);
-    const size_t deg = g.degree(v);
-    if (!is_awake || deg == 0) {
-      // Asleep or isolated: every held report stays put, no draws.
-      for (uint32_t i = b; i < e; ++i) dests[i] = v;
-      continue;
-    }
-    const NodeId* nbr = g.neighbors_begin(v);
-    for (uint32_t i = b; i < e; ++i) dests[i] = nbr[rng.UniformInt(deg)];
-    if (options.metrics != nullptr) {
-      traffic->emplace_back(v, static_cast<uint64_t>(e - b));
-    }
-  }
-}
-
-// One source shard's hop pass for one round, over its segment of the
-// round's holder list (its users with at least one held report, in
-// ascending user order — built branchlessly by the destination pass; see
-// ReceiveShard).  Tile by tile over holders:
-//   A1. stream seeds + first words for every holder in the tile, as one
-//       flat batch (util/rng.h BatchStreamSeeds — AVX-512 when available);
-//   A2. branch-free pack: every holder's first word lands at its first coin
-//       slot unconditionally; holders with more than one report are
-//       compacted into a (typically near-empty) side list;
-//   A3. those multi-holders expand their full streams over their coin runs
-//       (Xoshiro256 continuation, bit-identical to sequential draws);
-//   B1. map coins to neighbor ADDRESSES per degree class — a pure shift for
-//       power-of-two degrees, the multiply-shift MapToBound otherwise — and
-//       software-prefetch each address; isolated users' slots point at the
-//       holder id itself (stay-in-place, no draw);
-//   B2. dereference the addresses into destinations (Deref above).
-// The coin schedule and the per-slice draw order are exactly the scalar
-// engine's, so determinism is untouched (DESIGN.md §4e; pinned by
-// tests/test_kernel_differential.cc).  streams/firsts/multi hold kCoinTile
-// entries, and the coin and address tiles grow on demand.
-void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
-              size_t h_begin, size_t h_end, const uint32_t* holder_v,
-              const uint32_t* holder_b, uint32_t* dests, uint64_t* streams,
-              uint64_t* firsts,
-              uint32_t* multi, std::vector<uint64_t>* coin_buf,
-              std::vector<const NodeId*>* addr_buf,
-              std::vector<std::pair<NodeId, uint64_t>>* traffic) {
-  traffic->clear();
-
-  if (options.faults != nullptr) {
-    FaultHopShard(g, options, round, h_begin, h_end, holder_v, holder_b,
-                  dests, traffic);
-    return;
-  }
-
-  size_t h0 = h_begin;
-  while (h0 < h_end) {
-    // Tile boundary: a fixed holder count, so no boundary scan is needed.
-    // The tile's report span is usually a small multiple of the holder
-    // count (mean holding is ~1 at stationarity); skewed holdings just grow
-    // the per-report columns to fit.
-    const uint32_t base = holder_b[h0];
-    const size_t h1 = std::min(h0 + kCoinTile, h_end);
-    const uint32_t end_off = holder_b[h1];
-    if (coin_buf->size() < end_off - base) {
-      coin_buf->resize(std::max<size_t>(end_off - base, kCoinTile));
-      addr_buf->resize(coin_buf->size());
-    }
-    uint64_t* const coins = coin_buf->data();
-    const NodeId** const addrs = addr_buf->data();
-
-    // ---- A1: stream seeds + first words, one flat batch.
-    BatchStreamSeeds(holder_v + h0, h1 - h0, options.seed, round, streams,
-                     firsts);
-
-    // ---- A2: branch-free pack + multi-holder compaction.  Writing the
-    // first word unconditionally is correct for every holder (it IS the
-    // first draw); multi-holders just overwrite their run in A3.
-    size_t m = 0;
-    for (size_t h = h0; h < h1; ++h) {
-      const uint32_t b = holder_b[h], e = holder_b[h + 1];
-      coins[b - base] = firsts[h - h0];
-      // ns-lint: allow(narrow32): hot kernel; h - h0 < the holder count,
-      // itself <= the user count narrowed at store allocation.
-      multi[m] = static_cast<uint32_t>(h - h0);
-      m += (e - b > 1) ? 1 : 0;
-    }
-
-    // ---- A3: expand multi-holders' streams over their coin runs.
-    for (size_t j = 0; j < m; ++j) {
-      const size_t h = h0 + multi[j];
-      const uint32_t b = holder_b[h], e = holder_b[h + 1];
-      Xoshiro256 x = Xoshiro256::Seeded(streams[multi[j]]);
-      for (uint32_t i = b; i < e; ++i) coins[i - base] = x.Next();
-    }
-
-    // ---- B1: map coins to neighbor addresses, one degree class per
-    // holder, prefetching each address so the B2 dereference hits.
-    for (size_t h = h0; h < h1; ++h) {
-      const NodeId v = holder_v[h];
-      const uint32_t b = holder_b[h], e = holder_b[h + 1];
-      const size_t deg = g.degree(v);
-      if (deg == 0) {
-        // Isolated: keeps its reports, draws none.  Its slots point at the
-        // holder-list entry itself, so B2's dereference yields v — the
-        // stay-in-place destination — with no special case.
-        for (uint32_t i = b; i < e; ++i) addrs[i - base] = holder_v + h;
-        continue;
+// Moves reports [begin, begin + count) (count <= kWalkBlock) through
+// absolute rounds [t_begin, t_end).  In round t report r at holder v moves
+// to neighbors(v)[MapToBound(FirstRawDraw(ExchangeStreamSeed(report_seed,
+// t, r)), deg v)]; an isolated or asleep holder keeps it.  Each report's
+// walk reads only its own coins and its own holder, so blocks are
+// independent and the result does not depend on how they are scheduled.
+void WalkBlock(const Graph& g, const ExchangeOptions& options,
+               uint64_t report_seed, size_t t_begin, size_t t_end,
+               uint32_t begin, uint32_t count, NodeId* holder) {
+  uint32_t ids[kWalkBlock];
+  uint64_t streams[kWalkBlock];
+  uint64_t coins[kWalkBlock];
+  const NodeId* addrs[kWalkBlock];
+  for (uint32_t i = 0; i < count; ++i) ids[i] = begin + i;
+  NodeId* const h = holder + begin;
+  for (size_t t = t_begin; t < t_end; ++t) {
+    BatchStreamSeeds(ids, count, report_seed, t, streams, coins);
+    if (options.faults == nullptr) {
+      // Two passes: every destination's address is computed and prefetched
+      // before any is read, so the block's adjacency misses overlap.  An
+      // isolated holder's address is its own holder slot (it stays put).
+      // Kept apart from the fault loop below: folding the availability
+      // check into this loop measured 2x slower (BM_StepToTarget).
+      for (uint32_t i = 0; i < count; ++i) {
+        const NodeId v = h[i];
+        const size_t deg = g.degree(v);
+        const NodeId* a =
+            deg != 0 ? g.neighbors_begin(v) + MapToBound(coins[i], deg) : h + i;
+        addrs[i] = a;
+        __builtin_prefetch(a, 0, 1);
       }
-      const NodeId* nbr = g.neighbors_begin(v);
-      if (deg >= 2 && (deg & (deg - 1)) == 0) {
-        // 2^k neighbors: MapToBound(x, 2^k) == x >> (64 - k), bit-exactly.
-        const int shift = 64 - __builtin_ctzll(deg);
-        for (uint32_t i = b; i < e; ++i) {
-          const NodeId* a = nbr + (coins[i - base] >> shift);
-          addrs[i - base] = a;
-          __builtin_prefetch(a, 0, 1);
-        }
-      } else {
-        for (uint32_t i = b; i < e; ++i) {
-          const NodeId* a = nbr + MapToBound(coins[i - base], deg);
-          addrs[i - base] = a;
-          __builtin_prefetch(a, 0, 1);
+      for (uint32_t i = 0; i < count; ++i) h[i] = *addrs[i];
+    } else {
+      for (uint32_t i = 0; i < count; ++i) {
+        const NodeId v = h[i];
+        if (Hops(g, options, v, t)) {
+          h[i] = g.neighbors_begin(v)[MapToBound(coins[i], g.degree(v))];
         }
       }
-      if (options.metrics != nullptr) {
-        traffic->emplace_back(v, static_cast<uint64_t>(e - b));
-      }
     }
-
-    // ---- B2: dereference.
-    Deref(addrs, base, end_off, dests);
-
-    h0 = h1;
   }
 }
 
-// Writes one shard's first holder-list segment from the incoming store's
-// CSR offsets: users [u_begin, u_end) holding at least one report, from
-// index h, then the sentinel whose run start is the shard's arena end.
-// Branch-free: the candidate entry is written unconditionally and the
-// length advances only for holders.  Returns the sentinel's index.  Later
-// rounds' segments come out of ReceiveShard's prefix for free.
-size_t BuildHolderSegment(const uint32_t* offsets, size_t u_begin,
-                          size_t u_end, size_t h, uint32_t* holder_v,
-                          uint32_t* holder_b) {
-  for (size_t v = u_begin; v < u_end; ++v) {
-    // ns-lint: allow(narrow32): hot kernel; v < n and n/total passed
-    // CheckedNarrow32 when the store's offset columns were allocated.
-    holder_v[h] = static_cast<uint32_t>(v);
-    holder_b[h] = offsets[v];
-    h += (offsets[v + 1] > offsets[v]) ? 1 : 0;
-  }
-  // ns-lint: allow(narrow32): sentinel; u_end <= n, narrowed as above.
-  holder_v[h] = static_cast<uint32_t>(u_end);
-  holder_b[h] = offsets[u_end];
-  return h;
-}
-
-// One source shard's partition, right after its hop: counts its reports
-// per destination shard, lays one block per destination shard over its own
-// arena range [begin, end) in destination-shard order (row[d] = block d's
-// start, row[shards] = end), then copies each (id, destination) into its
-// block in arena order.  Only rounds with more than one shard partition;
-// the one-shard round's only block is the source range itself.
+// One source shard's partition of reports [begin, end) by their holder's
+// destination shard: counts them per destination shard, lays one block per
+// destination shard over the same range of the block columns in
+// destination-shard order (row[d] = block d's start, row[shards] = end),
+// then copies each (id, holder) into its block in ascending id order.
 void PartitionShard(uint32_t begin, uint32_t end, size_t shards, uint64_t mul,
-                    const uint32_t* dests, const ReportId* arena,
-                    uint32_t* row, ReportId* block_ids,
+                    const NodeId* holder, uint32_t* row, ReportId* block_ids,
                     uint32_t* block_dests) {
   uint32_t cursor[kMaxRoutingShards] = {};
-  for (uint32_t i = begin; i < end; ++i) ++cursor[ShardOf(dests[i], mul)];
+  for (uint32_t i = begin; i < end; ++i) ++cursor[ShardOf(holder[i], mul)];
   uint32_t run = begin;
   for (size_t d = 0; d < shards; ++d) {
     row[d] = run;
@@ -295,9 +137,9 @@ void PartitionShard(uint32_t begin, uint32_t end, size_t shards, uint64_t mul,
   }
   row[shards] = end;
   for (uint32_t i = begin; i < end; ++i) {
-    const uint32_t pos = cursor[ShardOf(dests[i], mul)]++;
-    block_ids[pos] = arena[i];
-    block_dests[pos] = dests[i];
+    const uint32_t pos = cursor[ShardOf(holder[i], mul)]++;
+    block_ids[pos] = i;
+    block_dests[pos] = holder[i];
   }
 }
 
@@ -305,15 +147,12 @@ void PartitionShard(uint32_t begin, uint32_t end, size_t shards, uint64_t mul,
 // read-modify-write, prefetched; the claimed slot overwrites the dest
 // column in place), then place the ids at the claimed slots (random write,
 // prefetched).  Splitting claim from placement is what makes the placement
-// address known kPrefetchAhead iterations early — the scalar engine's fused
-// cursor[dests[i]]++ write had nothing to prefetch.  Slot assignment is
-// identical either way.  The cursor must already hold each destination's
-// next free slot (ReceiveShard's prefix).
+// address known kPrefetchAhead iterations early.  The cursor must already
+// hold each destination's next free slot (ReceiveShard's prefix).
 void ScatterShard(uint32_t* cursor, uint32_t begin, uint32_t end,
-                  uint32_t* dests, const ReportId* arena,
-                  ReportId* next_arena) {
-  for (uint32_t tile = begin; tile < end; tile += kCoinTile) {
-    const uint32_t tile_end = std::min(end, tile + kCoinTile);
+                  uint32_t* dests, const ReportId* ids, ReportId* arena) {
+  for (uint32_t tile = begin; tile < end; tile += kScatterTile) {
+    const uint32_t tile_end = std::min(end, tile + kScatterTile);
     for (uint32_t i = tile; i < tile_end; ++i) {
       if (i + kPrefetchAhead < tile_end) {
         __builtin_prefetch(cursor + dests[i + kPrefetchAhead], 1, 1);
@@ -322,31 +161,27 @@ void ScatterShard(uint32_t* cursor, uint32_t begin, uint32_t end,
     }
     for (uint32_t i = tile; i < tile_end; ++i) {
       if (i + kPrefetchAhead < tile_end) {
-        __builtin_prefetch(next_arena + dests[i + kPrefetchAhead], 1, 0);
+        __builtin_prefetch(arena + dests[i + kPrefetchAhead], 1, 0);
       }
-      next_arena[dests[i]] = arena[i];
+      arena[dests[i]] = ids[i];
     }
   }
 }
 
-// One destination shard's pass, after every source shard's hop and
-// partition: it owns users [bounds[d], bounds[d + 1]) and block d of every
-// source's grid row.  It visits those blocks in ascending source order,
-// each in arena order — ascending sender order, so every slice it fills
-// comes out exactly as the one-shard round's.
+// One destination shard's pass, after every source shard's partition: it
+// owns users [bounds[d], bounds[d + 1]) and block d of every source's grid
+// row.  It visits those blocks in ascending source order, each in ascending
+// id order, so every slice it fills comes out in ascending report id.
 //   1. Histogram its users' loads into cursor[v].
 //   2. Prefix from the count of reports bound for lower shards: each load
-//      becomes its slice start, and each user with a nonzero load is
-//      appended (branch-free) to the shard's next holder-list segment.
+//      becomes its slice start.
 //   3. Claim and place every block's ids (ScatterShard).
-// cursor is next_offsets + 1, so once placed cursor[v] has advanced to
-// exactly the next CSR offset of v + 1.  Returns the segment's sentinel
-// index.
-size_t ReceiveShard(size_t d, size_t shards, const size_t* bounds,
-                    const uint32_t* grid, uint32_t* block_dests,
-                    const ReportId* block_ids, uint32_t* cursor,
-                    ReportId* next_arena, uint32_t* holder_v,
-                    uint32_t* holder_b) {
+// cursor is offsets + 1, so once placed cursor[v] has advanced to exactly
+// the CSR offset of v + 1.
+void ReceiveShard(size_t d, size_t shards, const size_t* bounds,
+                  const uint32_t* grid, uint32_t* block_dests,
+                  const ReportId* block_ids, uint32_t* cursor,
+                  ReportId* arena) {
   const size_t row = shards + 1;
   const size_t u_begin = bounds[d], u_end = bounds[d + 1];
   uint32_t run = 0;
@@ -358,50 +193,24 @@ size_t ReceiveShard(size_t d, size_t shards, const size_t* bounds,
       ++cursor[block_dests[i]];
     }
   }
-
-  size_t h = u_begin + d;
   for (size_t v = u_begin; v < u_end; ++v) {
     const uint32_t load = cursor[v];
-    // ns-lint: allow(narrow32): hot kernel; v < n, narrowed at store
-    // allocation.
-    holder_v[h] = static_cast<uint32_t>(v);
-    holder_b[h] = run;
     cursor[v] = run;
     run += load;
-    h += (load > 0) ? 1 : 0;
   }
-  // ns-lint: allow(narrow32): sentinel; u_end <= n, narrowed as above.
-  holder_v[h] = static_cast<uint32_t>(u_end);
-  holder_b[h] = run;
-
   for (size_t c = 0; c < shards; ++c) {
     ScatterShard(cursor, grid[c * row + d], grid[c * row + d + 1],
-                 block_dests, block_ids, next_arena);
+                 block_dests, block_ids, arena);
   }
-  return h;
 }
 
 }  // namespace
 
 size_t ExchangeWorkspace::MemoryBytes() const {
-  size_t bytes = next_.MemoryBytes() +
-                 dests_.capacity() * sizeof(uint32_t) +
-                 block_ids_.capacity() * sizeof(ReportId) +
-                 block_dests_.capacity() * sizeof(uint32_t) +
-                 grid_.capacity() * sizeof(uint32_t) +
-                 holder_v_.capacity() * sizeof(uint32_t) +
-                 holder_b_.capacity() * sizeof(uint32_t) +
-                 segment_end_.capacity() * sizeof(size_t) +
-                 bounds_.capacity() * sizeof(size_t);
-  for (const auto& t : coins_) bytes += t.capacity() * sizeof(uint64_t);
-  for (const auto& t : addrs_) bytes += t.capacity() * sizeof(const NodeId*);
-  for (const auto& t : streams_) bytes += t.capacity() * sizeof(uint64_t);
-  for (const auto& t : firsts_) bytes += t.capacity() * sizeof(uint64_t);
-  for (const auto& t : multi_) bytes += t.capacity() * sizeof(uint32_t);
-  for (const auto& t : traffic_) {
-    bytes += t.capacity() * sizeof(std::pair<NodeId, uint64_t>);
-  }
-  return bytes;
+  return block_ids_.capacity() * sizeof(ReportId) +
+         block_dests_.capacity() * sizeof(uint32_t) +
+         grid_.capacity() * sizeof(uint32_t) +
+         bounds_.capacity() * sizeof(size_t);
 }
 
 Status ValidateExchangeOptions(const ExchangeOptions& options) {
@@ -492,145 +301,123 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
 
   const size_t n = g.num_nodes();
   ExchangeResult result = std::move(prior);
-  const size_t prior_rounds = result.rounds;
+  const size_t t_begin = result.rounds;
   result.rounds += options.rounds;
+  const size_t t_end = result.rounds;
   if (n == 0) return result;
 
   ReportStore& store = result.holdings;
-  const size_t total = store.num_reports();
+  const uint32_t total =
+      CheckedNarrow32(store.num_reports(), "exchange report count");
 
-  // Users are sharded into contiguous ranges, one shard per pool slot; a
-  // shard is both a source (its users' hops) and a destination (its users'
-  // incoming slices).  The shard count only affects scheduling: every RNG
-  // draw comes from a per-(round, user) stream, and every destination slice
-  // is filled in ascending sender order (ReceiveShard), so the holdings are
-  // bit-identical for any thread count (including 1).  The bounds come from
-  // ShardOf's map: shard c starts at the first user v with
-  // (v * mul) >> 32 >= c.
+  // Shards, one per pool slot: shard c walks and partitions the contiguous
+  // report-id range [first_report(c), first_report(c + 1)), and receives
+  // the contiguous user range [bounds[c], bounds[c + 1]).  The shard count
+  // only affects scheduling: every coin comes from a per-(round, report)
+  // stream, and every slice is filled in ascending report id
+  // (ReceiveShard), so the holdings are bit-identical for any thread count
+  // (including 1).  The user bounds come from ShardOf's map: shard c starts
+  // at the first user v with (v * mul) >> 32 >= c.
   const size_t shards = std::min(
       {std::max<size_t>(ThreadCount(), 1), n, kMaxRoutingShards});
   const uint64_t mul = (uint64_t{shards} << 32) / n;
+  auto first_report = [&](size_t c) {
+    // ns-lint: allow(narrow32): c <= shards, so the quotient is <= total,
+    // itself narrowed by CheckedNarrow32 above.
+    return static_cast<uint32_t>(uint64_t{total} * c / shards);
+  };
 
   // Size the reusable scratch.  Every resize target depends only on
-  // (n, total, shards) — the coin/address tiles additionally grow to the
-  // largest single holding seen — so for a fixed session this settles after
-  // the first rounds and incremental Step(1) loops re-enter allocation-free
-  // (pinned by tests/test_session_incremental.cc):
-  //   next          — the double-buffer partner each round scatters into;
-  //   dests         — per arena slot, this round's destination, then (in
-  //                   the one-shard scatter) the claimed slot;
-  //   block_ids/dests — the per-destination-shard blocks (not needed by
-  //                   the one-shard round, whose block is the arena);
-  //   grid          — the block starts, one row per source shard;
-  //   holder_v/b    — the round's holder list, one segment per shard — what
-  //                   lets the hop kernels iterate holders with no
-  //                   empty-user branches;
-  //   segment_end   — each segment's sentinel index;
-  //   streams/firsts/multi/coins/addrs — per-shard hop-tile columns;
-  //   traffic       — per-shard (user, sends) counters, merged into the
-  //                   shared ShuffleMetrics at round end instead of racing
-  //                   on it.
+  // (n, total, shards), so for a fixed session this settles at the first
+  // call and incremental Step(1) loops re-enter allocation-free (pinned by
+  // tests/test_session_incremental.cc):
+  //   block_ids/dests — the per-destination-shard (id, holder) blocks, the
+  //                     holder overwritten by the claimed slot;
+  //   grid            — the block starts, one row per source shard;
+  //   bounds          — the destination shards' user bounds.
   ExchangeWorkspace& ws = *workspace;
-  ws.next_.AllocateFor(n, total);
-  ws.dests_.resize(total);
-  if (shards > 1) {
-    ws.block_ids_.resize(total);
-    ws.block_dests_.resize(total);
-  }
+  ws.block_ids_.resize(total);
+  ws.block_dests_.resize(total);
   ws.bounds_.resize(shards + 1);
   ws.grid_.resize(shards * (shards + 1));
-  ws.segment_end_.resize(shards);
-  ws.holder_v_.resize(n + shards);
-  ws.holder_b_.resize(n + shards);
-  ws.coins_.resize(shards);
-  ws.addrs_.resize(shards);
-  ws.streams_.resize(shards);
-  ws.firsts_.resize(shards);
-  ws.multi_.resize(shards);
-  for (size_t c = 0; c < shards; ++c) {
-    // A hop tile holds at most kCoinTile holders (each holder holds at
-    // least one report), so the per-holder side buffers have a fixed bound;
-    // coins_/addrs_ are per-report and grow inside HopShard if a single
-    // holding outgrows the tile budget.
-    ws.streams_[c].resize(kCoinTile);
-    ws.firsts_[c].resize(kCoinTile);
-    ws.multi_[c].resize(kCoinTile);
-  }
-  ws.traffic_.resize(shards);
   for (size_t c = 0; c <= shards; ++c) {
     ws.bounds_[c] = std::min<size_t>(n, ((uint64_t{c} << 32) + mul - 1) / mul);
   }
   const size_t* bounds = ws.bounds_.data();
-  uint32_t* dests = ws.dests_.data();
   uint32_t* grid = ws.grid_.data();
-  uint32_t* block_dests = shards > 1 ? ws.block_dests_.data() : dests;
-  uint32_t* holder_v = ws.holder_v_.data();
-  uint32_t* holder_b = ws.holder_b_.data();
-  if (shards == 1) {
-    // The one-shard round's only block is the whole arena.
-    grid[0] = 0;
-    grid[1] = CheckedNarrow32(total, "exchange report count");
-  }
+  ReportId* block_ids = ws.block_ids_.data();
+  uint32_t* block_dests = ws.block_dests_.data();
 
-  for (size_t step = 0; step < options.rounds; ++step) {
-    // The absolute round index keys the RNG streams, so resumed chunks draw
-    // exactly the coins the one-shot schedule would.
-    const size_t round = prior_rounds + step;
+  // The holder column is the walk's state.  A state fresh from
+  // StartExchange has only the CSR, so the column is derived from it once;
+  // every later call reads the column the previous one left.
+  std::vector<NodeId>& holders = result.holders;
+  if (holders.size() != total) {
+    holders.resize(total);
     const uint32_t* offsets = store.offsets_data();
     const ReportId* arena = store.arena_data();
-    uint32_t* next_offsets = ws.next_.mutable_offsets();
-    ReportId* next_arena = ws.next_.mutable_arena();
-
-    // Source phase (parallel over shards): batched coin fill, degree-class
-    // address mapping and the destination gather (HopShard, DESIGN.md
-    // §4e), then the partition into per-destination blocks.  The first
-    // round builds its holder segment from the incoming store here; later
-    // rounds reuse the one the previous round's destination pass wrote.
-    // The one-shard round skips the partition: its only block is the
-    // arena itself.
-    GlobalPool().RunChunks(shards, [&](size_t c) {
-      if (step == 0) {
-        ws.segment_end_[c] = BuildHolderSegment(
-            offsets, bounds[c], bounds[c + 1], bounds[c] + c, holder_v,
-            holder_b);
-      }
-      HopShard(g, options, round, bounds[c] + c, ws.segment_end_[c], holder_v,
-               holder_b, dests, ws.streams_[c].data(), ws.firsts_[c].data(),
-               ws.multi_[c].data(), &ws.coins_[c], &ws.addrs_[c],
-               &ws.traffic_[c]);
-      if (shards > 1) {
-        PartitionShard(offsets[bounds[c]], offsets[bounds[c + 1]], shards, mul,
-                       dests, arena, grid + c * (shards + 1),
-                       ws.block_ids_.data(), block_dests);
-      }
-    });
-
-    // Destination phase (parallel over shards): each shard histograms,
-    // prefixes and scatters the blocks addressed to it, writing its users'
-    // next CSR offsets, its slices of the next arena and its next holder
-    // segment — all disjoint between shards (ReceiveShard above).  The
-    // 4-byte ids are all that moves (DESIGN.md §4d).
-    next_offsets[0] = 0;
-    const ReportId* block_ids = shards > 1 ? ws.block_ids_.data() : arena;
     GlobalPool().RunChunks(shards, [&](size_t d) {
-      ws.segment_end_[d] =
-          ReceiveShard(d, shards, bounds, grid, block_dests, block_ids,
-                       next_offsets + 1, next_arena, holder_v, holder_b);
-    });
-    store.SwapWith(&ws.next_);
-
-    // Metrics merge, on the coordinating thread, in shard order.
-    if (options.metrics != nullptr) {
-      for (size_t c = 0; c < shards; ++c) {
-        for (const auto& t : ws.traffic_[c]) {
-          options.metrics->AddUserTraffic(t.first, t.second);
+      for (size_t v = bounds[d]; v < bounds[d + 1]; ++v) {
+        for (uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+          holders[arena[i]] = static_cast<NodeId>(v);
         }
       }
-      for (NodeId u = 0; u < n; ++u) {
-        options.metrics->ObserveUserHoldings(u, store.count(u));
+    });
+  }
+  NodeId* holder = holders.data();
+
+  const uint64_t report_seed = ReportWalkSeed(options.seed);
+  auto walk = [&](size_t c, size_t from, size_t to) {
+    const uint32_t end = first_report(c + 1);
+    for (uint32_t b = first_report(c); b < end; b += kWalkBlock) {
+      WalkBlock(g, options, report_seed, from, to, b,
+                std::min(kWalkBlock, end - b), holder);
+    }
+  };
+
+  // Table 3's complexity counters need every round's sends and loads, so
+  // with a sink the walk goes round by round and counts in between, on the
+  // coordinating thread: a holder that hops sends its whole load.
+  if (options.metrics != nullptr) {
+    std::vector<uint32_t> load(n, 0);
+    for (uint32_t r = 0; r < total; ++r) ++load[holder[r]];
+    for (size_t t = t_begin; t < t_end; ++t) {
+      for (NodeId v = 0; v < n; ++v) {
+        if (load[v] != 0 && Hops(g, options, v, t)) {
+          options.metrics->AddUserTraffic(v, load[v]);
+        }
+      }
+      GlobalPool().RunChunks(shards, [&](size_t c) { walk(c, t, t + 1); });
+      std::fill(load.begin(), load.end(), 0u);
+      for (uint32_t r = 0; r < total; ++r) ++load[holder[r]];
+      for (NodeId v = 0; v < n; ++v) {
+        options.metrics->ObserveUserHoldings(v, load[v]);
       }
     }
   }
+
+  // Source phase (parallel over shards): every report of the shard walks
+  // all of this call's rounds, block by block, then the shard partitions
+  // its reports by destination shard.  The block schedule measured 10-18%
+  // faster than a pass per round at 4 threads (DESIGN.md §4e).
+  GlobalPool().RunChunks(shards, [&](size_t c) {
+    if (options.metrics == nullptr) walk(c, t_begin, t_end);
+    PartitionShard(first_report(c), first_report(c + 1), shards, mul, holder,
+                   grid + c * (shards + 1), block_ids, block_dests);
+  });
+
+  // Destination phase (parallel over shards): each shard histograms,
+  // prefixes and scatters the blocks addressed to it, writing its users'
+  // CSR offsets and slices — disjoint between shards (ReceiveShard above).
+  // The CSR is a function of the holder column alone, so it is rebuilt in
+  // place: nothing reads the previous one.
+  uint32_t* offsets = store.mutable_offsets();
+  ReportId* arena = store.mutable_arena();
+  offsets[0] = 0;
+  GlobalPool().RunChunks(shards, [&](size_t d) {
+    ReceiveShard(d, shards, bounds, grid, block_dests, block_ids, offsets + 1,
+                 arena);
+  });
   return result;
 }
 

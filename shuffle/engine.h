@@ -1,6 +1,9 @@
 // The network-shuffling exchange engine: every user injects one report, and
 // each round every held report takes one random-walk hop to a uniformly
-// chosen neighbor of its holder.
+// chosen neighbor of its holder.  Each report walks on its own coins, so
+// the engine keeps every report's holder as a column, walks every report
+// through all of a call's rounds in one pass, and sorts the column into the
+// per-user holdings once per call (DESIGN.md §4c, §4e).
 
 #ifndef NETSHUFFLE_SHUFFLE_ENGINE_H_
 #define NETSHUFFLE_SHUFFLE_ENGINE_H_
@@ -22,11 +25,9 @@ namespace netshuffle {
 /// Complexity counters shared by the network engine and the Table-3
 /// baselines (baselines/prochlo.h, baselines/mixnet.h).
 ///
-/// Not internally synchronized: the parallel exchange engine accumulates
-/// per-shard counters on its workers and merges them into this object from
-/// the coordinating thread at the end of every round (in shard order, so the
-/// totals are thread-count invariant).  The serial baselines call the
-/// mutators directly.
+/// Not internally synchronized: the exchange engine writes it only from the
+/// coordinating thread, between rounds, so the totals are thread-count
+/// invariant.  The serial baselines call the mutators directly.
 class ShuffleMetrics {
  public:
   explicit ShuffleMetrics(size_t num_users)
@@ -64,16 +65,24 @@ struct ExchangeOptions {
   uint64_t seed = 1;
   /// Optional availability model; nullptr = everyone always awake.
   const FaultModel* faults = nullptr;
-  /// Optional complexity counters, filled during the run.
+  /// Optional complexity counters, filled during the run.  With a sink the
+  /// engine walks round by round, counting in between (the Table 3 path);
+  /// the holdings are identical either way.
   ShuffleMetrics* metrics = nullptr;
 };
 
 struct ExchangeResult {
   /// Flat routing store: user u's holdings after the last round are the
-  /// contiguous ReportId slice holdings.reports(u) (see shuffle/store.h).
-  /// Reports are conserved, so holdings.num_reports() == n for the whole
-  /// run.
+  /// contiguous ReportId slice holdings.reports(u), in ascending report id
+  /// (see shuffle/store.h).  Reports are conserved, so
+  /// holdings.num_reports() == n for the whole run.
   ReportStore holdings;
+  /// holders[r] is report r's current holder: the walk's state, which
+  /// holdings is sorted from.  Empty after StartExchange; ResumeExchange
+  /// derives it from holdings on first use and keeps it current, so a
+  /// resumed call never rebuilds it.  A caller that edits holdings directly
+  /// must clear it.
+  std::vector<NodeId> holders;
   /// The immutable origin/payload columns the routed ids index into
   /// (shuffle/payload.h), frozen at injection and shared with every
   /// ProtocolResult finalized from this state.
@@ -85,33 +94,36 @@ struct ExchangeResult {
 class ExchangeWorkspace;
 
 /// Advances `prior` (from StartExchange or a previous call) by
-/// options.rounds further rounds.  Every coin is drawn from a stream keyed
-/// on (seed, prior.rounds + i, user), so a run split into Session::Step
-/// chunks draws exactly the coins of the equivalent one-shot RunExchange.
-/// Fatal on options.rounds == 0.
+/// options.rounds further rounds.  In absolute round t = prior.rounds + i,
+/// report r held by v moves to neighbors(v)[MapToBound(FirstRawDraw(
+/// ExchangeStreamSeed(ReportWalkSeed(seed), t, r)), deg v)] (util/rng.h); a
+/// holder that is isolated, or asleep on its own per-(seed, t, v)
+/// availability stream under options.faults, keeps its reports.  Every
+/// report walks all options.rounds hops in one pass, and the holdings are
+/// sorted from the holder column once, at the end.  So a run split into
+/// Session::Step chunks ends in exactly the holdings of the equivalent
+/// one-shot RunExchange.  Fatal on options.rounds == 0.
 ///
 /// A null `workspace` allocates scratch for this call only; incremental
 /// callers (Session::Step) pass a persistent one so repeated short calls
-/// reuse the routing tables.  Results are bit-identical either way.
+/// reuse the sort's tables.  Results are bit-identical either way.
 ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
                               const ExchangeOptions& options,
                               ExchangeWorkspace* workspace = nullptr);
 
-/// Reusable scratch for ResumeExchange (DESIGN.md §4e): the double-buffer
-/// partner store plus the per-round routing tables — destination/slot
-/// column, the per-destination-shard (id, destination) blocks and their
-/// start grid, the per-shard holder-list segments the batched hop kernels
-/// iterate, per-shard coin/address tiles, per-shard traffic buffers.
-/// Hoisted out of the engine so a serving loop stepping one round at a time
-/// (Session::Step(1)) pays the O(n) allocation once per session instead of
-/// once per call; buffer sizing is idempotent, so the steady state
-/// allocates nothing (pinned by an allocation-count regression test in
-/// tests/test_session_incremental.cc).
+/// Reusable scratch for ResumeExchange's one sort per call (DESIGN.md §4c,
+/// §4e): the per-destination-shard (id, holder) blocks, their start grid
+/// and the destination shards' user bounds.  The walk itself needs no heap
+/// scratch (a few KB of stack per block).  Hoisted out of the engine so a
+/// serving loop stepping one round at a time (Session::Step(1)) pays the
+/// O(n) allocation once per session instead of once per call; buffer sizing
+/// is idempotent, so the steady state allocates nothing (pinned by an
+/// allocation-count regression test in tests/test_session_incremental.cc).
 ///
-/// Purely scratch: no routing decision ever reads workspace contents from a
-/// previous round, so reusing one workspace across exchanges (graphs of
-/// different sizes, heap or file-backed payloads) cannot change results.
-/// Every buffer here is heap memory under both storage backends: only the
+/// Purely scratch: nothing ever reads workspace contents from a previous
+/// call, so reusing one workspace across exchanges (graphs of different
+/// sizes, heap or file-backed payloads) cannot change results.  Every
+/// buffer here is heap memory under both storage backends: only the
 /// write-once payload columns are file-backed (DESIGN.md §9).  Not
 /// thread-safe — one workspace per concurrently executing exchange.
 class ExchangeWorkspace {
@@ -123,9 +135,7 @@ class ExchangeWorkspace {
   ExchangeWorkspace& operator=(ExchangeWorkspace&&) = default;
 
   /// Heap footprint of the scratch buffers (benches report this; the
-  /// dominant terms are the ~8 B/user partner store, the 4 B/report
-  /// dest/slot column, the 8 B/report blocks when there is more than one
-  /// shard, and the ~8 B/user holder list).
+  /// dominant term is the 8 B/report of blocks).
   size_t MemoryBytes() const;
 
  private:
@@ -133,28 +143,12 @@ class ExchangeWorkspace {
                                        const ExchangeOptions&,
                                        ExchangeWorkspace*);
 
-  ReportStore next_;              // double-buffer scatter partner
-  std::vector<uint32_t> dests_;   // per-slot destination, then claimed slot
-  std::vector<size_t> bounds_;    // shard user boundaries (shards + 1)
-  // Per-destination-shard blocks, laid over each source shard's arena
-  // range: (id, destination), the latter overwritten by the claimed slot.
-  // Sized only when there is more than one shard.
+  std::vector<size_t> bounds_;    // destination shards' user bounds
+  // Per-destination-shard blocks, laid over each source shard's report-id
+  // range: (id, holder), the latter overwritten by the claimed slot.
   std::vector<ReportId> block_ids_;
   std::vector<uint32_t> block_dests_;
   std::vector<uint32_t> grid_;    // block starts (shards x (shards + 1))
-  // The round's holder list, one segment per shard: users holding >= 1
-  // report (ascending) and where each one's arena run begins, then a
-  // sentinel entry — the branch-free iteration structure of the batched
-  // hop (DESIGN.md §4e).  Segment c starts at bounds_[c] + c.
-  std::vector<uint32_t> holder_v_;     // holder user ids (n + shards)
-  std::vector<uint32_t> holder_b_;     // holder arena-run starts (n + shards)
-  std::vector<size_t> segment_end_;    // per-segment sentinel index (shards)
-  std::vector<std::vector<uint64_t>> coins_;  // per-shard coin tiles
-  std::vector<std::vector<const NodeId*>> addrs_;  // per-shard address tiles
-  std::vector<std::vector<uint64_t>> streams_;  // per-shard stream-seed tiles
-  std::vector<std::vector<uint64_t>> firsts_;   // per-shard first-word tiles
-  std::vector<std::vector<uint32_t>> multi_;    // per-shard multi-holder list
-  std::vector<std::vector<std::pair<NodeId, uint64_t>>> traffic_;
 };
 
 /// Typed pre-flight check for the exchange entry points below; they fatal on

@@ -1,20 +1,18 @@
-// Flat double-buffer-able routing storage for the exchange engine: one
-// contiguous ReportId arena plus CSR-style per-user offsets (DESIGN.md §4c,
-// §4d).  Since the index-routing refactor the store holds 4-byte report
-// HANDLES only — a report's immutable origin and payload bytes live in the
-// columnar PayloadArena (shuffle/payload.h), so a routing round moves 4
-// bytes per report instead of a full report struct.
+// Flat per-user holdings for the exchange engine: one contiguous ReportId
+// arena plus CSR-style per-user offsets (DESIGN.md §4c, §4d).  The store
+// holds 4-byte report HANDLES only — a report's immutable origin and
+// payload bytes live in the columnar PayloadArena (shuffle/payload.h), so
+// the sort moves 4 bytes per report, never the payload.
 //
 // Invariant: user u's holdings are the contiguous slice
 // arena[offsets[u] .. offsets[u+1]), in the engine's canonical order
-// (ascending sender of the previous round, then injection order).  Reports
-// are conserved by the exchange, so the arena never grows: the engine keeps
-// two same-sized stores and swaps them every round (double buffering)
-// instead of reallocating.
+// (ascending report id).  Reports are conserved by the exchange, so the
+// arena never grows: the engine sorts each call's final holder column
+// into the same two columns in place instead of reallocating.
 //
-// Both buffers are rewritten every round, so they are the exchange's
-// working set and stay on the heap under every storage backend; only the
-// write-once payload columns can be file-backed (DESIGN.md §9).
+// Both columns are rewritten by every exchange call, so they stay on the
+// heap under every storage backend; only the write-once payload columns
+// can be file-backed (DESIGN.md §9).
 
 #ifndef NETSHUFFLE_SHUFFLE_STORE_H_
 #define NETSHUFFLE_SHUFFLE_STORE_H_
@@ -68,8 +66,8 @@ class ReportStore {
     offsets_[n] = static_cast<uint32_t>(n);
   }
 
-  /// Sizes the buffers without initializing contents — the double-buffer
-  /// partner the engine scatters into before swapping.
+  /// Sizes the columns without initializing contents (injection fills
+  /// them).
   void AllocateFor(size_t users, size_t reports) {
     CheckedNarrow32(reports, "ReportStore report count");
     arena_.resize(reports);
@@ -101,15 +99,9 @@ class ReportStore {
   ReportId* mutable_arena() { return arena_.data(); }
   uint32_t* mutable_offsets() { return offsets_.data(); }
 
-  /// O(1) buffer exchange — one round's double-buffer flip.
-  void SwapWith(ReportStore* other) {
-    arena_.swap(other->arena_);
-    offsets_.swap(other->offsets_);
-  }
-
-  /// Heap footprint of this buffer (the 10^6-node smoke test pins this to
-  /// ~8 bytes/user; the engine's transient peak is two buffers plus its
-  /// routing tables).
+  /// Heap footprint of the two columns (the 10^6-node smoke test pins this
+  /// to ~8 bytes/user; an exchange adds the 4 B/report holder column and
+  /// its workspace's 8 B/report sort blocks).
   size_t MemoryBytes() const {
     return arena_.capacity() * sizeof(ReportId) +
            offsets_.capacity() * sizeof(uint32_t);

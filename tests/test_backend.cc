@@ -221,9 +221,9 @@ int main() {
 
   // ---- An exchange round never touches disk ------------------------------
   {
-    // The routing double buffer stays on the heap under kMmap, so a 16 KiB
-    // file-size limit — below either routing column (80 KB at this n) —
-    // cannot fail a round.  The limit drops after Create, whose payload
+    // The routing state (holder column and holdings) stays on the heap
+    // under kMmap, so a 16 KiB file-size limit — below any routing column
+    // (80 KB at this n) — cannot fail a round.  The limit drops after Create, whose payload
     // stream files are all the session writes.
     const size_t n = 20000;
     Rng rng(12);

@@ -1,20 +1,22 @@
-// The index-routed exchange (shuffle/store.h ReportId arena + counting-sort
-// routing over a columnar shuffle/payload.h PayloadArena) must be
-// ELEMENT-IDENTICAL to the legacy engine that physically scattered full
-// report structs: same per-(seed, round, user) RNG streams, same canonical
-// ascending-sender order inside every destination's slice, and — after
-// mapping each routed id through the arena — the same (origin, payload
-// bytes, holder) triples.  A serial reference implementation of the legacy
-// schedule (routing whole structs with variable-length payload bytes) lives
-// in this test and is compared element-by-element against the id-routed
-// engine at NS_THREADS 1 and 4 (and a resumed Start/Resume split), with and
-// without faults — under BOTH storage backends (DESIGN.md §9): the heap
-// default and the file-backed mmap tier, whose mapped columns must be
-// bit-identical to the in-RAM run at every thread count.
+// The index-routed exchange (shuffle/store.h ReportId arena sorted from a
+// holder column, over a columnar shuffle/payload.h PayloadArena) must be
+// ELEMENT-IDENTICAL to a naive engine that physically moves full report
+// structs: same per-(round, report) coin streams, same per-(round, user)
+// availability streams, same canonical ascending-report order inside every
+// holder's slice, and — after mapping each routed id through the arena —
+// the same (origin, payload bytes, holder) triples.  A serial reference
+// implementation of the schedule (moving whole structs with variable-length
+// payload bytes) lives in this test and is compared element-by-element
+// against the id-routed engine at NS_THREADS 1 and 4 (and a resumed
+// Start/Resume split), with and without faults — under BOTH storage
+// backends (DESIGN.md §9): the heap default and the file-backed mmap tier,
+// whose mapped columns must be bit-identical to the in-RAM run at every
+// thread count.
 //
 // Also: ReportStore unit checks, and an NS_SCALE-gated 10^6-node smoke test
-// pinning the routing buffers' per-user memory bound (~8 bytes/user since
-// ids replaced 16-byte structs).
+// pinning the routing state's per-user memory bound (~8 bytes/user of
+// holdings since ids replaced 16-byte structs, plus the 4 B/report holder
+// column).
 
 #include <cstdlib>
 #include <memory>
@@ -35,9 +37,9 @@ using namespace netshuffle;
 
 namespace {
 
-// What the legacy engine physically routed: the full report, origin and
-// payload bytes together.
-struct LegacyReport {
+// What the reference physically moves: the full report, origin and payload
+// bytes together.
+struct StructReport {
   NodeId origin;
   Bytes payload;
 };
@@ -70,57 +72,54 @@ PayloadArena PatternArena(size_t n,
   return arena;
 }
 
-// The legacy engine's serial schedule, verbatim: per round, users in
-// ascending order draw one stream per (seed, round, user) — the Awake coin
-// first, then one destination per held report in holding order — and every
-// destination list is appended in ascending sender order.  It routes the
-// full (origin, payload bytes) struct, exactly what the pre-index-routing
-// engine moved every round.
-std::vector<std::vector<LegacyReport>> LegacyExchange(
+// The exchange's schedule, serial and naive, over whole structs: each
+// report r walks on its own stream, Rng(HashCombine(ReportWalkSeed(seed),
+// HashCombine(round, r))), one UniformInt(degree) per round; a holder that
+// is isolated or asleep (the Awake coin from its own per-(seed, round,
+// user) stream) keeps it.  Each holder's list is then filled in ascending
+// report order with the full (origin, payload bytes) struct.
+std::vector<std::vector<StructReport>> ReferenceExchange(
     const Graph& g, size_t rounds, uint64_t seed, const FaultModel* faults) {
   const size_t n = g.num_nodes();
-  std::vector<std::vector<LegacyReport>> holdings(n);
-  for (NodeId u = 0; u < n; ++u) {
-    holdings[u].push_back(LegacyReport{u, PatternPayload(u)});
-  }
+  std::vector<NodeId> holder(n);
+  for (NodeId r = 0; r < n; ++r) holder[r] = r;
   for (size_t round = 0; round < rounds; ++round) {
-    std::vector<std::vector<LegacyReport>> next(n);
-    for (NodeId u = 0; u < n; ++u) {
-      const auto& held = holdings[u];
-      if (held.empty()) continue;
-      Rng rng(HashCombine(seed, HashCombine(static_cast<uint64_t>(round), u)));
+    for (NodeId r = 0; r < n; ++r) {
+      const NodeId u = holder[r];
       const size_t deg = g.degree(u);
-      const bool awake =
-          faults == nullptr || faults->Awake(u, round, &rng);
-      if (!awake || deg == 0) {
-        for (const LegacyReport& r : held) next[u].push_back(r);
-        continue;
+      if (deg == 0) continue;
+      if (faults != nullptr) {
+        Rng awake_rng(
+            HashCombine(seed, HashCombine(static_cast<uint64_t>(round), u)));
+        if (!faults->Awake(u, round, &awake_rng)) continue;
       }
-      for (const LegacyReport& r : held) {
-        const NodeId dest = g.neighbors_begin(u)[rng.UniformInt(deg)];
-        next[dest].push_back(r);
-      }
+      Rng rng(HashCombine(ReportWalkSeed(seed),
+                          HashCombine(static_cast<uint64_t>(round), r)));
+      holder[r] = g.neighbors_begin(u)[rng.UniformInt(deg)];
     }
-    holdings.swap(next);
+  }
+  std::vector<std::vector<StructReport>> holdings(n);
+  for (NodeId r = 0; r < n; ++r) {
+    holdings[holder[r]].push_back(StructReport{r, PatternPayload(r)});
   }
   return holdings;
 }
 
 // Maps every routed id through the arena and compares (origin, payload
-// bytes) element-by-element per holder against the legacy schedule.
+// bytes) element-by-element per holder against the reference schedule.
 void CheckElementIdentical(const ExchangeResult& ex,
-                           const std::vector<std::vector<LegacyReport>>&
-                               legacy) {
+                           const std::vector<std::vector<StructReport>>&
+                               reference) {
   const ReportStore& flat = ex.holdings;
   const PayloadArena& arena = *ex.payloads;
-  CHECK(flat.num_users() == legacy.size());
-  for (NodeId u = 0; u < legacy.size(); ++u) {
+  CHECK(flat.num_users() == reference.size());
+  for (NodeId u = 0; u < reference.size(); ++u) {
     const ReportSpan span = flat.reports(u);
-    CHECK(span.size() == legacy[u].size());
+    CHECK(span.size() == reference[u].size());
     for (size_t i = 0; i < span.size(); ++i) {
       const ReportId id = span[i];
-      CHECK(arena.origin(id) == legacy[u][i].origin);
-      CHECK(arena.payload(id).ToBytes() == legacy[u][i].payload);
+      CHECK(arena.origin(id) == reference[u][i].origin);
+      CHECK(arena.payload(id).ToBytes() == reference[u][i].payload);
     }
   }
 }
@@ -128,7 +127,7 @@ void CheckElementIdentical(const ExchangeResult& ex,
 void CheckEquivalence(const Graph& g, size_t rounds, uint64_t seed,
                       const FaultModel* faults,
                       const std::shared_ptr<StorageBackend>& mmap_backend) {
-  const auto legacy = LegacyExchange(g, rounds, seed, faults);
+  const auto reference = ReferenceExchange(g, rounds, seed, faults);
   // Backend axis: the file-backed tier must route to the same slots as the
   // heap tier — the kernels see raw pointers either way.
   for (const std::shared_ptr<StorageBackend>& backend :
@@ -142,7 +141,7 @@ void CheckEquivalence(const Graph& g, size_t rounds, uint64_t seed,
       ExchangeResult whole = ResumeExchange(
           g, StartExchange(g, PatternArena(g.num_nodes(), backend)), opts);
       CHECK(whole.payloads->hosted() == (backend != nullptr));
-      CheckElementIdentical(whole, legacy);
+      CheckElementIdentical(whole, reference);
 
       // A resumed split must replay the identical coin schedule.
       ExchangeResult split =
@@ -153,7 +152,7 @@ void CheckEquivalence(const Graph& g, size_t rounds, uint64_t seed,
       ExchangeOptions rest = opts;
       rest.rounds = rounds - first.rounds;
       if (rest.rounds > 0) split = ResumeExchange(g, std::move(split), rest);
-      CheckElementIdentical(split, legacy);
+      CheckElementIdentical(split, reference);
     }
   }
   SetThreadCount(0);
@@ -177,8 +176,7 @@ int main() {
     }
     ReportStore other;
     other.AllocateFor(5, 5);
-    store.SwapWith(&other);
-    CHECK(other.num_reports() == 5 && other.count(2) == 1);
+    CHECK(other.num_users() == 5 && other.num_reports() == 5);
   }
 
   // ---- Identity injection (routing-only default arena) --------------------
@@ -198,7 +196,7 @@ int main() {
     }
   }
 
-  // ---- Index-routed vs legacy element identity ----------------------------
+  // ---- Index-routed vs struct-moving reference element identity ----------
   Rng rng(11);
   const Graph regular = MakeRandomRegular(400, 6, &rng);
   const Graph skewed = MakeBarabasiAlbert(300, 3, &rng);
@@ -233,14 +231,17 @@ int main() {
     ExchangeResult ex = RunExchange(big, opts);
     CHECK(ex.holdings.num_users() == n);
     CHECK(ex.holdings.num_reports() == n);  // conserved at scale
-    // The index-routing promise: ~8 bytes/user per routing buffer (4 B
-    // ReportId + 4 B offset) — the 16-byte report struct no longer rides
-    // through the scatter.  Allow a page of slack.
+    // The index-routing promise: ~8 bytes/user of holdings (4 B ReportId +
+    // 4 B offset) — the 16-byte report struct no longer rides through the
+    // sort — plus the walk's 4 B/report holder column.  Allow a page of
+    // slack.
     CHECK(ex.holdings.MemoryBytes() <=
           (sizeof(ReportId) + sizeof(uint32_t)) * n + 4096);
+    CHECK(ex.holders.capacity() * sizeof(NodeId) <=
+          sizeof(NodeId) * n + 4096);
     // The immutable columns cost ~8 bytes/user once (origin + offset; the
     // identity arena carries zero payload bytes) and are never touched by
-    // the per-round routing passes.
+    // the walk or the sort.
     CHECK(ex.payloads->MemoryBytes() <=
           (sizeof(NodeId) + sizeof(uint32_t)) * n + 4096);
     size_t spot_total = 0;

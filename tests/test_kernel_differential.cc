@@ -1,22 +1,25 @@
-// Differential/property harness for the batched exchange kernels
-// (shuffle/engine.cc, DESIGN.md §4e): the determinism contract says every
-// coin comes from a per-(seed, round, user) stream — Awake first, then one
-// destination per held report in holding order — and every destination's
-// slice is filled in ascending sender order.  The batched path (tiled coin
-// columns, degree-class dispatch, prefetched claim/place scatter) must
-// reproduce that contract BIT-IDENTICALLY, so this test keeps the obvious
-// scalar schedule in-tree as the reference and pins the engine against it
-// element-by-element, every round, over randomized graph shapes:
+// Differential/property harness for the exchange walk (shuffle/engine.cc,
+// DESIGN.md §4e): the determinism contract says report r held by v in
+// absolute round t moves to neighbors(v)[UniformInt(deg v)] drawn from its
+// own per-(ReportWalkSeed(seed), t, r) stream, an isolated holder or one
+// asleep on its own per-(seed, t, v) availability stream keeps it, and
+// every user's slice lists its reports in ascending id.  The block walk
+// (batched coins, one pass over all of a call's rounds) and the once-per-
+// call holder sort must reproduce that contract BIT-IDENTICALLY, so this
+// test keeps the obvious scalar schedule in-tree as the reference and pins
+// the engine against it element-by-element, every round, over randomized
+// graph shapes:
 //
-//   - k-regular for k in {2, 3, 4, 8, 16, 20} (pow2 and general degree
-//     classes, including the deg-pair fast paths),
+//   - k-regular for k in {2, 3, 4, 8, 16, 20} (power-of-two and general
+//     degrees),
 //   - Barabasi-Albert power-law tails (m in {1, 2, 5, 8}),
 //   - graphs with isolated users (the deg == 0 keep-in-place path),
 //   - n == 1, a triangle (fewer users than threads: the shard clamp), and a
-//     6000-leaf star whose hub accumulates far more than one coin tile
-//     (kCoinTile = 4096) of reports — the grown-tile path,
-//   - fault schedules (LazyFaultModel: Awake consumes stream draws) and
-//     fault-free runs (the batched FirstRawDraw/FillStreamRaw fast path),
+//     6000-leaf star whose hub ends up holding most reports (one
+//     destination takes nearly every slot of the sort),
+//   - fault schedules (LazyFaultModel: Awake reads the holder's stream) and
+//     fault-free runs, with and without a ShuffleMetrics sink (the
+//     round-by-round Table 3 path),
 //
 // at NS_THREADS 1/2/3/4 (3 is the one shard split that is not a power of
 // two) and under BOTH storage backends (heap and file-backed mmap payload
@@ -24,7 +27,8 @@
 // live), stepped round-by-round through ONE persistent ExchangeWorkspace
 // reused across every shape, thread count, AND backend (stale scratch from
 // a previous, differently-sized exchange must be invisible), plus a
-// whole-run one-shot comparison through the workspace-free overload.
+// whole-run one-shot comparison through the workspace-free overload and
+// uneven multi-round resume splits.
 
 #include <cstdio>
 #include <memory>
@@ -72,43 +76,47 @@ PayloadArena PatternArena(size_t n,
   return arena;
 }
 
-// The scalar reference schedule, kept deliberately naive: users in ascending
-// order, one fresh Rng per (seed, round, user), the Awake coin before any
-// destination draw, one UniformInt(degree) per held report in holding order,
-// push_back into per-destination vectors.  Ascending-u push order IS the
-// engine's canonical ascending-(shard, sender) placement for contiguous
-// shards, so the two layouts must match slot for slot.
-std::vector<std::vector<ReportId>> ReferenceInit(size_t n) {
-  std::vector<std::vector<ReportId>> holdings(n);
-  for (NodeId u = 0; u < n; ++u) holdings[u].push_back(u);
-  return holdings;
+// The scalar reference schedule, kept deliberately naive: one holder per
+// report, rounds applied one at a time, reports in ascending id, one fresh
+// Rng per (round, report) on the report-coin seed, the holder's Awake coin
+// on a fresh Rng of its own per-(seed, round, user) stream.  Holdings are
+// then push_back'ed per holder in ascending report id, which is the
+// engine's canonical slice order.
+std::vector<NodeId> ReferenceInit(size_t n) {
+  std::vector<NodeId> holder(n);
+  for (NodeId r = 0; r < n; ++r) holder[r] = r;
+  return holder;
 }
 
 void ReferenceRound(const Graph& g, size_t round, uint64_t seed,
-                    const FaultModel* faults,
-                    std::vector<std::vector<ReportId>>* holdings) {
-  const size_t n = g.num_nodes();
-  std::vector<std::vector<ReportId>> next(n);
-  for (NodeId u = 0; u < n; ++u) {
-    const std::vector<ReportId>& held = (*holdings)[u];
-    if (held.empty()) continue;
-    Rng rng(ExchangeStreamSeed(seed, round, u));
-    const size_t deg = g.degree(u);
-    const bool awake = faults == nullptr || faults->Awake(u, round, &rng);
-    if (!awake || deg == 0) {
-      for (ReportId id : held) next[u].push_back(id);
-      continue;
+                    const FaultModel* faults, std::vector<NodeId>* holder) {
+  for (ReportId r = 0; r < holder->size(); ++r) {
+    const NodeId v = (*holder)[r];
+    const size_t deg = g.degree(v);
+    if (deg == 0) continue;
+    if (faults != nullptr) {
+      Rng availability(ExchangeStreamSeed(seed, round, v));
+      if (!faults->Awake(v, round, &availability)) continue;
     }
-    const NodeId* nbr = g.neighbors_begin(u);
-    for (ReportId id : held) next[nbr[rng.UniformInt(deg)]].push_back(id);
+    Rng coin(ExchangeStreamSeed(ReportWalkSeed(seed), round, r));
+    (*holder)[r] = g.neighbors_begin(v)[coin.UniformInt(deg)];
   }
-  holdings->swap(next);
+}
+
+std::vector<std::vector<ReportId>> ReferenceHoldings(
+    const std::vector<NodeId>& holder) {
+  std::vector<std::vector<ReportId>> holdings(holder.size());
+  for (ReportId r = 0; r < holder.size(); ++r) {
+    holdings[holder[r]].push_back(r);
+  }
+  return holdings;
 }
 
 // Element-identical: same id in every slot of every user's slice, and the
 // id resolves to the same (origin, payload bytes) through the arena.
 void CheckIdentical(const ExchangeResult& ex,
-                    const std::vector<std::vector<ReportId>>& ref) {
+                    const std::vector<NodeId>& ref_holder) {
+  const std::vector<std::vector<ReportId>> ref = ReferenceHoldings(ref_holder);
   CHECK(ex.holdings.num_users() == ref.size());
   const PayloadArena& arena = *ex.payloads;
   for (NodeId u = 0; u < ref.size(); ++u) {
@@ -125,7 +133,8 @@ void CheckIdentical(const ExchangeResult& ex,
 // One differential case: step the engine round-by-round (rounds = 1 per
 // call) through the SHARED persistent workspace, checking
 // element identity after every round, then replay the whole run one-shot
-// through the workspace-free overload and check the final state again.
+// through the workspace-free overload, once without and once with a
+// metrics sink, and check the final state again.
 void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
              const FaultModel* faults, ExchangeWorkspace* ws,
              const std::shared_ptr<StorageBackend>& mmap_backend) {
@@ -136,7 +145,7 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
        {std::shared_ptr<StorageBackend>(), mmap_backend}) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
       SetThreadCount(threads);
-      std::vector<std::vector<ReportId>> ref = ReferenceInit(n);
+      std::vector<NodeId> ref = ReferenceInit(n);
       ExchangeResult state = StartExchange(g, PatternArena(n, backend));
       CHECK(state.payloads->hosted() == (backend != nullptr));
       CheckIdentical(state, ref);
@@ -148,6 +157,7 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
         state = ResumeExchange(g, std::move(state), step, ws);
         ReferenceRound(g, r, seed, faults, &ref);
         CheckIdentical(state, ref);
+        CHECK(state.holders == ref);
       }
 
       ExchangeOptions whole;
@@ -157,6 +167,12 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
       ExchangeResult oneshot =
           ResumeExchange(g, StartExchange(g, PatternArena(n, backend)), whole);
       CheckIdentical(oneshot, ref);
+
+      ShuffleMetrics metrics(n);
+      whole.metrics = &metrics;
+      ExchangeResult counted = ResumeExchange(
+          g, StartExchange(g, PatternArena(n, backend), &metrics), whole);
+      CheckIdentical(counted, ref);
     }
   }
   SetThreadCount(0);
@@ -186,8 +202,7 @@ int main() {
   const LazyFaultModel lazy(0.3);
   Rng meta(20220607);
 
-  // k-regular: degree classes 2/4/8/16 take the pow2 shift path, 3/20 the
-  // general multiply-shift path.  Randomized n per degree.
+  // k-regular: power-of-two and general degrees.  Randomized n per degree.
   for (size_t k : {size_t{2}, size_t{3}, size_t{4}, size_t{8}, size_t{16},
                    size_t{20}}) {
     const size_t n = k + 2 + 2 * meta.UniformInt(150);  // n*k even: n even
@@ -199,7 +214,7 @@ int main() {
   }
 
   // Barabasi-Albert power-law tails: mixed degrees per round, hubs holding
-  // multi-report batches (the FillStreamRaw > 1 path).
+  // many reports at once.
   for (size_t m : {size_t{1}, size_t{2}, size_t{5}, size_t{8}}) {
     Rng gen(meta.Next());
     const size_t n = 50 + meta.UniformInt(250);
@@ -223,9 +238,9 @@ int main() {
     RunCase("single-user", g, /*rounds=*/5, meta.Next(), nullptr, &ws, backend);
   }
 
-  // 6000-leaf star: after one round the hub holds ~n reports — far past one
-  // kCoinTile (4096) of coins — so its batch takes the lone-user grown-tile
-  // path; leaves exercise the deg == 1 general-path draw (always 0).
+  // 6000-leaf star: after one round the hub holds ~n reports, so one
+  // destination's slice spans nearly the whole arena; leaves exercise the
+  // deg == 1 draw (always 0).
   {
     const Graph g = MakeStar(6000);
     RunCase("star-6000", g, /*rounds=*/3, meta.Next(), nullptr, &ws, backend);
@@ -241,7 +256,7 @@ int main() {
     const uint64_t seed = meta.Next();
     for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
       SetThreadCount(threads);
-      std::vector<std::vector<ReportId>> ref = ReferenceInit(240);
+      std::vector<NodeId> ref = ReferenceInit(240);
       for (size_t r = 0; r < 13; ++r) ReferenceRound(g, r, seed, &lazy, &ref);
       ExchangeResult state = StartExchange(g, PatternArena(240, backend));
       size_t done = 0;

@@ -64,7 +64,7 @@ int main() {
   }
 
   // Rng::FillRaw in arbitrary chunk sizes == the same stream drawn one
-  // Next() at a time (the fault path batches post-Awake draws through this).
+  // Next() at a time.
   {
     Rng seq(99), chunked(99);
     std::vector<uint64_t> expect(1000), got(1000);
@@ -79,24 +79,42 @@ int main() {
     CHECK(expect == got);
   }
 
-  // FillStreamRaw over a (seed, round, user) grid: bit-identical to a fresh
-  // per-user Rng drawing k words sequentially, for every batch length the
-  // hop kernel produces — the k == 1 FirstRawDraw fast path, small partial
-  // tails, and a tile-sized fill.
+  // FirstRawDraw over a (seed, round, key) grid: bit-identical to the first
+  // word of a fresh Rng on the same stream — the walk's one coin per report
+  // per round.  The report coins' seed is a fixed function of the exchange
+  // seed, and their stream in round t differs from the availability stream
+  // a fault model reads for the user with the same id.
   for (uint64_t seed : {1ULL, 2022ULL, 0xdeadbeefULL}) {
+    CHECK(ReportWalkSeed(seed) == ReportWalkSeed(seed));
+    CHECK(ReportWalkSeed(seed) != seed);
     for (uint64_t round : {0ULL, 1ULL, 17ULL}) {
       for (uint64_t user : {0ULL, 1ULL, 999ULL, 123456789ULL}) {
         const uint64_t stream = ExchangeStreamSeed(seed, round, user);
         CHECK(stream == HashCombine(seed, HashCombine(round, user)));
-        for (size_t k : {size_t{1}, size_t{2}, size_t{3}, size_t{9},
-                         size_t{4096}}) {
-          std::vector<uint64_t> batch(k);
-          FillStreamRaw(stream, batch.data(), k);
-          Rng ref(stream);
-          for (size_t i = 0; i < k; ++i) CHECK(batch[i] == ref.Next());
-        }
         CHECK(FirstRawDraw(stream) == Rng(stream).Next());
+        const uint64_t coin =
+            ExchangeStreamSeed(ReportWalkSeed(seed), round, user);
+        CHECK(coin != stream);
+        CHECK(FirstRawDraw(coin) == Rng(coin).Next());
       }
+    }
+  }
+
+  // BatchStreamSeeds (AVX-512 body plus scalar tail on capable hosts) ==
+  // the scalar derivation, key by key, for block lengths around the
+  // 8-lane vector width.
+  for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                       size_t{513}}) {
+    Rng keys(count + 1);
+    std::vector<uint32_t> ids(count);
+    for (auto& id : ids) id = static_cast<uint32_t>(keys.Next());
+    std::vector<uint64_t> streams(count), firsts(count);
+    const uint64_t seed = ReportWalkSeed(count), round = 3 * count;
+    BatchStreamSeeds(ids.data(), count, seed, round, streams.data(),
+                     firsts.data());
+    for (size_t i = 0; i < count; ++i) {
+      CHECK(streams[i] == ExchangeStreamSeed(seed, round, ids[i]));
+      CHECK(firsts[i] == Rng(streams[i]).Next());
     }
   }
 
@@ -112,7 +130,7 @@ int main() {
   }
 
   // Power-of-two degeneration: for bound 2^k (k >= 1) the multiply-shift
-  // is exactly a right shift by 64 - k — the engine's pow2 degree class.
+  // is exactly a right shift by 64 - k.
   for (int k = 1; k <= 20; ++k) {
     const size_t bound = size_t{1} << k;
     Rng raw(31337);

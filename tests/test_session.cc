@@ -421,6 +421,53 @@ int main() {
     CHECK(stopped.value() == s.current_round());
     CHECK(s.Guarantee().epsilon <= target + 1e-12);
     CHECK(s.current_round() <= 10 * s.mixing_rounds());
+
+    // StepUntil makes one Step to the stopping round it computes; stepping
+    // one round at a time until the guarantee is met must stop at the same
+    // round with the same holdings.  Cases: a reachable target, a target
+    // capped by max_rounds, a resumed call past a first stop, and a call
+    // whose target already holds (no step at all).
+    auto step_loop = [](Session* loop, double goal, size_t max_rounds) {
+      while (loop->current_round() < max_rounds &&
+             loop->Guarantee().epsilon > goal) {
+        CHECK(loop->Step(1).ok());
+      }
+    };
+    auto same_inbox = [](const Session& a, const Session& b) {
+      const ProtocolResult ra = a.Finalize(ReportingProtocol::kAll);
+      const ProtocolResult rb = b.Finalize(ReportingProtocol::kAll);
+      CHECK(ra.server_inbox.size() == rb.server_inbox.size());
+      for (size_t i = 0; i < ra.server_inbox.size(); ++i) {
+        CHECK(ra.server_inbox[i].id == rb.server_inbox[i].id);
+        CHECK(ra.server_inbox[i].final_holder ==
+              rb.server_inbox[i].final_holder);
+      }
+    };
+    auto make = [] {
+      SessionConfig c;
+      c.SetGraph(SmallExpander(1000, 8)).SetEpsilon0(1.0).SetSeed(31);
+      return Session::Create(std::move(c)).value();
+    };
+    Session once = make();
+    Session loop = make();
+    const size_t cap = 10 * once.mixing_rounds();
+    auto check_case = [&](double goal, size_t max_rounds) {
+      const Expected<size_t> at = once.StepUntil(goal, max_rounds);
+      step_loop(&loop, goal, max_rounds);
+      CHECK(at.ok());
+      CHECK(at.value() == loop.current_round());
+      CHECK(once.current_round() == loop.current_round());
+      same_inbox(once, loop);
+    };
+    check_case(0.97, cap);
+    const size_t first_stop = once.current_round();
+    CHECK(first_stop > 0 && first_stop < cap);
+    check_case(1e-9, first_stop + 5);  // unreachable: capped
+    CHECK(once.current_round() == first_stop + 5);
+    check_case(0.5, cap);
+    const size_t before = once.current_round();
+    check_case(0.97, cap);  // already met: no step
+    CHECK(once.current_round() == before);
   }
 
   // ---- Rewiring -----------------------------------------------------------

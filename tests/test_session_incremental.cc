@@ -162,16 +162,17 @@ void CheckIncrementalEqualsOneShot(const Graph& g,
   CheckSameInbox(single_steps.Finalize(), oneshot);
 }
 
-// The ISSUE-7 workspace bugfix: a serving loop stepping one round at a time
-// must not re-pay the O(n) routing-table allocation every call — Session
-// keeps one ExchangeWorkspace and ResumeExchange sizes it idempotently, so
-// once the buffers have reached steady-state capacity a Step(1) allocates
-// (essentially) nothing.  Pin that with a byte counter on global operator
-// new: a regression back to per-call allocation costs ~hundreds of KB per
-// step at this n and trips the bound immediately.  Run at one shard (the
-// round skips its partition) and at several (the partition's blocks and
-// block grid live in the workspace too); the few hundred bytes left are
-// the pool's per-dispatch std::function closures, not workspace growth.
+// A serving loop stepping one round at a time must not re-pay the O(n)
+// sort-table allocation every call — Session keeps one ExchangeWorkspace
+// and ResumeExchange sizes it idempotently, and the holder column lives in
+// the exchange state, so once the buffers have reached steady-state
+// capacity a Step(1) allocates (essentially) nothing.  Pin that with a
+// byte counter on global operator new: a regression back to per-call
+// allocation costs ~hundreds of KB per step at this n and trips the bound
+// immediately.  Run at one shard and at several (the sort's blocks and
+// block grid live in the workspace; the walk's scratch is on the stack);
+// the few hundred bytes left are the pool's per-dispatch std::function
+// closures, not workspace growth.
 void CheckSteadyStateStepsAllocationFree(size_t threads) {
   SetThreadCount(threads);
   Rng rng(77);
@@ -184,8 +185,8 @@ void CheckSteadyStateStepsAllocationFree(size_t threads) {
   CHECK(created.ok());
   Session session = std::move(created).value();
 
-  // Warm up until every workspace buffer (including the hop tiles, whose
-  // high-water mark depends on the holdings distribution) has settled.
+  // Warm up until every workspace buffer and the holder column (derived
+  // on the epoch's first Step) have settled.
   for (int i = 0; i < 8; ++i) CHECK(session.Step(1).ok());
 
   g_alloc_bytes.store(0);

@@ -30,10 +30,27 @@ Usage: perf_gate.py <BENCH_json> <baseline_json> [tolerance]
 on a > 20% throughput drop; higher-is-worse metrics may grow to
 pinned / tolerance).  Speedups / shrinkage always pass and are reported so
 the trajectory is visible in the CI log.
+
+Parent mode (host drift cancels): the same harness built at the parent
+commit and at the change, run interleaved on one host.
+
+  perf_gate.py --vs-parent --parent P1.json P2.json P3.json \
+               --change C1.json C2.json C3.json
+
+Fails when the change's best headline is below 0.8x the parent's best,
+when either side has fewer than three runs, when any run did not
+complete, or when the runs disagree on the headline metric, the thread
+count or NS_SCALE.  Best of N, because a shared host only ever slows a
+run down.
+
+  perf_gate.py --self-test    runs both modes on synthetic records
 """
 
+import argparse
 import json
+import os
 import sys
+import tempfile
 
 
 def fail(message: str) -> int:
@@ -41,17 +58,125 @@ def fail(message: str) -> int:
     return 1
 
 
-def main() -> int:
-    if len(sys.argv) < 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    bench_path, baseline_path = sys.argv[1], sys.argv[2]
-    tolerance = float(sys.argv[3]) if len(sys.argv) > 3 else 0.8
+def load(path: str) -> dict:
+    with open(path) as f:
+        return json.load(f)
 
-    with open(bench_path) as f:
-        bench = json.load(f)
-    with open(baseline_path) as f:
-        baseline = json.load(f)
+
+# Runs per side the parent mode requires: one run on a shared host can be
+# slowed by a neighbour, and the gate takes each side's best.
+MIN_RUNS = 3
+
+# The parent mode fails when the change's best falls below this fraction of
+# the parent's best.
+PARENT_TOLERANCE = 0.8
+
+
+def vs_parent(argv) -> int:
+    parser = argparse.ArgumentParser(prog="perf_gate.py --vs-parent")
+    parser.add_argument("--parent", nargs="+", required=True)
+    parser.add_argument("--change", nargs="+", required=True)
+    args = parser.parse_args(argv)
+
+    runs = {"parent": args.parent, "change": args.change}
+    best = {}
+    shape = None
+    for side, paths in runs.items():
+        if len(paths) < MIN_RUNS:
+            return fail(f"{side} has {len(paths)} run(s); the gate needs at "
+                        f"least {MIN_RUNS} per side")
+        values = []
+        for path in paths:
+            bench = load(path)
+            if not bench.get("completed", False):
+                return fail(f"{path} has completed=false (harness bailed)")
+            headline = bench.get("headline", {})
+            this = (headline.get("metric"), bench.get("threads"),
+                    bench.get("scale", 1.0))
+            if shape is None:
+                shape = this
+            elif this != shape:
+                return fail(
+                    f"{path} ran (metric, threads, scale) = {this}, the "
+                    f"first run {shape}: parent and change must run the "
+                    f"same configuration")
+            value = headline.get("value")
+            if not isinstance(value, (int, float)) or value <= 0:
+                return fail(f"{path}: headline value is not a positive "
+                            f"number ({value!r})")
+            values.append(float(value))
+        best[side] = max(values)
+        print(f"{side}: {shape[0]} over {len(values)} runs = "
+              + ", ".join(f"{v:.4g}" for v in values)
+              + f" (best {best[side]:.4g})")
+
+    ratio = best["change"] / best["parent"]
+    verdict = "PASS" if ratio >= PARENT_TOLERANCE else "FAIL"
+    print(f"{verdict}: best change / best parent = {ratio:.3f} "
+          f"(gate at {PARENT_TOLERANCE:.2f}, threads={shape[1]})")
+    return 0 if verdict == "PASS" else 1
+
+
+def self_test() -> int:
+    """Both modes on synthetic records; exit 1 if any verdict is wrong."""
+    def record(value, threads=1, completed=True, metric="reports_per_sec"):
+        return {"completed": completed, "threads": threads, "scale": 1.0,
+                "headline": {"metric": metric, "value": value}}
+
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name, obj):
+            path = os.path.join(tmp, name)
+            with open(path, "w") as f:
+                json.dump(obj, f)
+            return path
+
+        def pair_case(label, parent, change, expect):
+            ps = [write(f"{label}-p{i}.json", r) for i, r in enumerate(parent)]
+            cs = [write(f"{label}-c{i}.json", r) for i, r in enumerate(change)]
+            got = vs_parent(["--parent", *ps, "--change", *cs])
+            if got != expect:
+                failures.append(f"vs-parent {label}: exit {got}, "
+                                f"expected {expect}")
+
+        base = [record(3.0e7), record(3.6e7), record(3.3e7)]
+        pair_case("faster", base, [record(v) for v in (3.9e7, 4.2e7, 4.0e7)], 0)
+        # Best-of-N: one slow change run does not fail the gate.
+        pair_case("noisy", base, [record(v) for v in (1.0e7, 3.5e7, 2.0e7)], 0)
+        pair_case("regressed", base,
+                  [record(v) for v in (2.5e7, 2.8e7, 2.7e7)], 1)
+        pair_case("too-few", base, [record(4e7), record(4e7)], 1)
+        pair_case("bailed", base,
+                  [record(4e7), record(4e7, completed=False), record(4e7)], 1)
+        pair_case("threads", base,
+                  [record(4e7), record(4e7, threads=4), record(4e7)], 1)
+        pair_case("metric", base,
+                  [record(4e7, metric="other")] * 3, 1)
+
+        baseline = write("baseline.json", {
+            "threads": 1, "headline_metric": "reports_per_sec",
+            "reports_per_sec": 3.0e7})
+        for label, value, expect in (("pin-pass", 2.5e7, 0),
+                                     ("pin-fail", 2.0e7, 1)):
+            bench = write(f"{label}.json", record(value))
+            got = pinned([bench, baseline, "0.8"])
+            if got != expect:
+                failures.append(f"pinned {label}: exit {got}, "
+                                f"expected {expect}")
+
+    for f in failures:
+        print(f"SELF-TEST FAIL: {f}")
+    print("self-test:", "FAIL" if failures else "ok")
+    return 1 if failures else 0
+
+
+def pinned(argv) -> int:
+    """The absolute mode: one bench record against a pinned baseline."""
+    bench_path, baseline_path = argv[0], argv[1]
+    tolerance = float(argv[2]) if len(argv) > 2 else 0.8
+
+    bench = load(bench_path)
+    baseline = load(baseline_path)
 
     if not bench.get("completed", False):
         return fail(f"{bench_path} has completed=false (harness bailed)")
@@ -126,6 +251,17 @@ def main() -> int:
         failed = failed or worse_verdict == "FAIL"
 
     return 1 if failed else 0
+
+
+def main() -> int:
+    if len(sys.argv) > 1 and sys.argv[1] == "--self-test":
+        return self_test()
+    if len(sys.argv) > 1 and sys.argv[1] == "--vs-parent":
+        return vs_parent(sys.argv[2:])
+    if len(sys.argv) < 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    return pinned(sys.argv[1:])
 
 
 if __name__ == "__main__":

@@ -3,12 +3,12 @@
 // path (shuffle/pki.h) keys its toy stream cipher off this too, which is fine
 // for a simulation and documented as such there.
 //
-// The batched exchange kernels (shuffle/engine.cc, DESIGN.md §4e) consume
-// the SAME streams through a batch layer: Xoshiro256 exposes the raw state
-// machine, FillStreamRaw fills a flat coin column with the first k words of
-// a stream, and MapToBound is the one multiply-shift that turns a raw word
-// into a bounded draw.  Everything here is pinned bit-identical to the
-// sequential per-draw Rng path by tests/test_rng.cc.
+// The exchange walk (shuffle/engine.cc, DESIGN.md §4e) consumes the SAME
+// streams through a batch layer: BatchStreamSeeds derives a block of stream
+// seeds and their first words at once, and MapToBound is the one
+// multiply-shift that turns a raw word into a bounded draw.  Everything here
+// is pinned bit-identical to the sequential per-draw Rng path by
+// tests/test_rng.cc.
 
 #ifndef NETSHUFFLE_UTIL_RNG_H_
 #define NETSHUFFLE_UTIL_RNG_H_
@@ -52,10 +52,8 @@ inline uint64_t Rotl64(uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
-/// The raw xoshiro256** state machine behind Rng, exposed so the batched
-/// exchange kernels can seed/advance streams without the distribution
-/// wrapper.  Seeded(seed) then Next() x k is bit-identical to
-/// Rng(seed).Next() x k.
+/// The raw xoshiro256** state machine behind Rng.  Seeded(seed) then
+/// Next() x k is bit-identical to Rng(seed).Next() x k.
 struct Xoshiro256 {
   uint64_t s[4];
 
@@ -79,43 +77,40 @@ struct Xoshiro256 {
   }
 };
 
-/// The exchange engine's per-(seed, round, user) stream seed — exactly
-/// HashCombine(seed, HashCombine(round, user)).  One named place so the
-/// batched hop kernels, the fault path, and the scalar reference
-/// implementations in the tests all derive the identical stream.
+/// The exchange engine's per-(seed, round, key) stream seed — exactly
+/// HashCombine(seed, HashCombine(round, key)).  The key is a user for the
+/// availability stream a fault model reads, and a report id for the walk's
+/// destination coins (keyed under ReportWalkSeed, below).  One named place
+/// so the walk, the fault path, and the scalar reference implementations in
+/// the tests all derive the identical stream.
 inline uint64_t ExchangeStreamSeed(uint64_t seed, uint64_t round,
-                                   uint64_t user) {
-  return HashCombine(seed, HashCombine(round, user));
+                                   uint64_t key) {
+  return HashCombine(seed, HashCombine(round, key));
+}
+
+/// The seed of the walk's per-(round, report) destination coins:
+/// HashCombine(seed, a fixed tag).  The tag keeps report r's coin stream in
+/// round t apart from user r's availability stream in round t, which is
+/// keyed on `seed` itself; without it the two would share a word, and an
+/// awake holder's destination would depend on its own wake-up draw.
+inline uint64_t ReportWalkSeed(uint64_t seed) {
+  return HashCombine(seed, 0x7265706f72742d77ULL);  // "report-w"
 }
 
 /// First raw word of Rng(stream_seed) without materializing the state: the
 /// first xoshiro256** output reads only s[1], the SECOND SplitMix64 word of
 /// the seed sequence — two finalizer mixes instead of four plus a step.
-/// This is the hot case of the batched coin fill (at stationarity most
-/// users hold exactly one report, i.e. draw exactly one coin per round).
+/// Each report draws exactly one coin per round, so this is the walk's
+/// whole per-hop draw.
 inline uint64_t FirstRawDraw(uint64_t stream_seed) {
   const uint64_t s1 = SplitMix64Finalize(stream_seed + 2 * kSplitMix64Gamma);
   return Rotl64(s1 * 5, 7) * 9;
 }
 
-/// Batch fill: out[0 .. count) = the first `count` raw words of
-/// Rng(stream_seed)'s output, bit-identical to count sequential Next()
-/// calls.  count == 1 short-circuits to FirstRawDraw.
-inline void FillStreamRaw(uint64_t stream_seed, uint64_t* out, size_t count) {
-  if (count == 0) return;
-  if (count == 1) {
-    out[0] = FirstRawDraw(stream_seed);
-    return;
-  }
-  Xoshiro256 x = Xoshiro256::Seeded(stream_seed);
-  for (size_t i = 0; i < count; ++i) out[i] = x.Next();
-}
-
 /// Maps a raw 64-bit word into {0, ..., bound-1} exactly as Rng::UniformInt
-/// does (multiply-shift; bias negligible for bounds < 2^40).  The batched
-/// destination sampler consumes pre-filled coin columns through this; for
-/// bound a power of two 2^k the product shift degenerates to raw >> (64-k),
-/// which the engine's degree-class dispatch exploits (DESIGN.md §4e).
+/// does (multiply-shift; bias negligible for bounds < 2^40).  The exchange
+/// walk maps each report's batch-derived coin to a neighbor index through
+/// this (DESIGN.md §4e).
 inline size_t MapToBound(uint64_t raw, size_t bound) {
   return static_cast<size_t>(
       (static_cast<unsigned __int128>(raw) * bound) >> 64);
@@ -123,7 +118,7 @@ inline size_t MapToBound(uint64_t raw, size_t bound) {
 
 #if NETSHUFFLE_BATCH_RNG_AVX512
 /// Eight-lane AVX-512 core of BatchStreamSeeds below: identical arithmetic
-/// to ExchangeStreamSeed + FirstRawDraw, one user per 64-bit lane.  Compiled
+/// to ExchangeStreamSeed + FirstRawDraw, one key per 64-bit lane.  Compiled
 /// for avx512f/dq regardless of the build's baseline (gcc target attribute)
 /// and only ever called behind the runtime CPU check in BatchStreamSeeds.
 __attribute__((target("avx512f,avx512dq"))) inline void BatchStreamSeedsAvx512(
@@ -184,12 +179,12 @@ __attribute__((target("avx512f,avx512dq"))) inline void BatchStreamSeedsAvx512(
 }
 #endif  // NETSHUFFLE_BATCH_RNG_AVX512
 
-/// Batch stream-seed derivation: for each user id in users[0 .. count),
+/// Batch stream-seed derivation: for each key in users[0 .. count),
 /// streams[i] = ExchangeStreamSeed(seed, round, users[i]) and
-/// firsts[i] = FirstRawDraw(streams[i]) — the per-user work of the batched
-/// hop pass, as one flat data-parallel kernel (8 users per AVX-512 vector
-/// when the CPU has avx512f/dq, a plain scalar loop otherwise; both paths
-/// bit-identical, pinned by tests/test_rng.cc).
+/// firsts[i] = FirstRawDraw(streams[i]) — the coin work of one walk block
+/// (the keys are report ids there), as one flat data-parallel kernel (8 keys
+/// per AVX-512 vector when the CPU has avx512f/dq, a plain scalar loop
+/// otherwise; both paths bit-identical, pinned by tests/test_rng.cc).
 inline void BatchStreamSeeds(const uint32_t* users, size_t count,
                              uint64_t seed, uint64_t round, uint64_t* streams,
                              uint64_t* firsts) {
@@ -214,9 +209,8 @@ class Rng {
 
   uint64_t Next() { return state_.Next(); }
 
-  /// Fills out[0 .. count): bit-identical to count successive Next() calls
-  /// (the exchange fault path batches its destination draws through this
-  /// after the Awake coin is consumed).
+  /// Fills out[0 .. count): bit-identical to count successive Next()
+  /// calls.
   void FillRaw(uint64_t* out, size_t count) {
     for (size_t i = 0; i < count; ++i) out[i] = state_.Next();
   }
