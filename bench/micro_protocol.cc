@@ -1,10 +1,11 @@
-// google-benchmark micro suite: protocol engine throughput and the secure
-// relay (crypto) path.
+// google-benchmark micro suite: protocol engine throughput, the epoch's
+// seal-and-inject and finalize passes, and the secure relay (crypto) path.
 
 #include <benchmark/benchmark.h>
 
 #include "micro_common.h"
 
+#include "core/session.h"
 #include "graph/generators.h"
 #include "shuffle/engine.h"
 #include "shuffle/pki.h"
@@ -60,6 +61,44 @@ void BM_FullProtocolSingle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullProtocolSingle)->Unit(benchmark::kMillisecond);
+
+// FinalizeProtocol(kAll) on a 21-round exchange's holdings: the sharded
+// inbox fill.
+void BM_FinalizeAll(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(4);
+  Graph g = MakeRandomRegular(n, 20, &rng);
+  ExchangeOptions opts;
+  opts.rounds = 21;
+  const ExchangeResult exchange = RunExchange(g, opts);
+  for (auto _ : state) {
+    auto r = FinalizeProtocol(exchange, ReportingProtocol::kAll, 1);
+    benchmark::DoNotOptimize(r.server_inbox.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_FinalizeAll)->Arg(100000)->Unit(benchmark::kMicrosecond);
+
+// Session::BeginEpoch on a full epoch of 4-byte reports: the seal check and
+// the injection sort, one sharded pass.  Ingest is untimed.
+void BM_BeginEpoch(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(5);
+  SessionConfig config;
+  config.SetGraph(MakeRandomRegular(n, 20, &rng));
+  Session session = Session::Create(std::move(config)).value();
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (size_t u = 0; u < n; ++u) {
+      session.pending_arena()->AppendBucket(static_cast<NodeId>(u),
+                                            static_cast<uint32_t>(u % 8));
+    }
+    state.ResumeTiming();
+    if (!session.BeginEpoch().ok()) state.SkipWithError("BeginEpoch failed");
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_BeginEpoch)->Arg(100000)->Unit(benchmark::kMicrosecond);
 
 void BM_SecureRelayRound(benchmark::State& state) {
   const size_t n = 256;

@@ -1,10 +1,11 @@
-// google-benchmark micro suite: graph construction, walk-step and spectral
-// primitives.
+// google-benchmark micro suite: graph construction, walk-step, ergodicity
+// and spectral primitives.
 
 #include <benchmark/benchmark.h>
 
 #include "micro_common.h"
 
+#include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "graph/spectral.h"
 #include "graph/walk.h"
@@ -64,6 +65,22 @@ void BM_SpectralGap(benchmark::State& state) {
   state.counters["iterations"] = static_cast<double>(iterations);
 }
 BENCHMARK(BM_SpectralGap)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
+
+// Admission's ergodicity check on both sides of the BFS frontier switch:
+// a random 20-regular graph (wide frontiers, bottom-up on the pool) and a
+// cycle (two nodes a level, expanded serially).
+void BM_ClassifyWalkRegular(benchmark::State& state) {
+  Rng rng(6);
+  Graph g = MakeRandomRegular(static_cast<size_t>(state.range(0)), 20, &rng);
+  for (auto _ : state) benchmark::DoNotOptimize(ClassifyWalk(g));
+}
+BENCHMARK(BM_ClassifyWalkRegular)->Arg(200000)->Unit(benchmark::kMillisecond);
+
+void BM_ClassifyWalkCycle(benchmark::State& state) {
+  Graph g = MakeCirculant(static_cast<size_t>(state.range(0)), 2);
+  for (auto _ : state) benchmark::DoNotOptimize(ClassifyWalk(g));
+}
+BENCHMARK(BM_ClassifyWalkCycle)->Arg(200000)->Unit(benchmark::kMillisecond);
 
 void BM_StationaryGamma(benchmark::State& state) {
   Rng rng(5);

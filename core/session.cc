@@ -293,27 +293,33 @@ Status Session::BeginEpoch() {
     if (!hosted.ok()) return hosted.status();
     next_pending = std::move(hosted).value();
   }
-  // Seal next: on a short epoch or a duplicate origin this returns the
+  // Seal and inject in one sharded pass (engine.h SealAndInject): on a
+  // short epoch, an out-of-range or a duplicate origin this returns the
   // typed kPayloadMismatch and the epoch does NOT roll — the pending arena
   // stays mutable (short epochs keep ingesting; duplicates DiscardPending).
   // Hosted arenas surface payload write failures (disk full, file-size
   // limit) and column-map failures here as kIoError, likewise without
   // rolling; a write failure is sticky, so the caller DiscardPending()s.
-  const Status sealed = pending_.Seal(num_users_);
-  if (!sealed.ok()) return sealed;
-
-  // Exclusive vs accounting readers: the swap below changes the epoch they
-  // read (rounds restart, fresh holdings).  The writer-priority gate that
-  // kept a continuous query load from starving this rollover now lives
-  // inside ns::SharedMutex::WriterLock.
-  ns::WriterMutexLock structure(&sync_->structure);
-  ++epoch_;
-  // Fresh engine/finalize streams per epoch; epoch 0 keeps seed_ itself so
-  // the one-shot path is bit-identical to the pre-epoch engine.
-  epoch_seed_ = HashCombine(seed_, static_cast<uint64_t>(epoch_));
-  state_ = StartExchange(graph_, std::move(pending_), metrics_);
+  // It writes only a fresh state and the mutator's workspace, so readers
+  // keep answering until the swap below.
+  Expected<ExchangeResult> injected =
+      SealAndInject(num_users_, &pending_, metrics_, &exchange_ws_);
+  if (!injected.ok()) return injected.status();
   pending_ = std::move(next_pending);
-  sync_->progress.store(PackProgress(epoch_, 0), std::memory_order_release);
+  {
+    // Exclusive vs accounting readers: the swap below changes the epoch
+    // they read (rounds restart, fresh holdings).  The writer-priority gate
+    // that kept a continuous query load from starving this rollover lives
+    // inside ns::SharedMutex::WriterLock.
+    ns::WriterMutexLock structure(&sync_->structure);
+    ++epoch_;
+    // Fresh engine/finalize streams per epoch; epoch 0 keeps seed_ itself
+    // so the one-shot path is bit-identical to the pre-epoch engine.
+    epoch_seed_ = HashCombine(seed_, static_cast<uint64_t>(epoch_));
+    std::swap(state_, injected.value());
+    sync_->progress.store(PackProgress(epoch_, 0), std::memory_order_release);
+  }
+  // The previous epoch's state is freed here, outside the lock.
   return Status::Ok();
 }
 

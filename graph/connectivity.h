@@ -25,7 +25,10 @@ enum class WalkErgodicity {
   kBipartite,
 };
 
-/// One traversal that both counts the component and 2-colors it.
+/// One breadth-first traversal from node 0 that both counts its component
+/// and finds its depths, then one sweep over the edges for an odd cycle (an
+/// edge inside one depth).  Wide frontiers and the sweep run on the pool
+/// (util/parallel.h); the verdict does not depend on the width.
 WalkErgodicity ClassifyWalk(const Graph& g);
 
 /// A random walk on g has a unique stationary distribution it converges to

@@ -20,7 +20,7 @@ constexpr double kUnitRitz = 1e-12;
 
 // The Lanczos tridiagonal T_k: diagonal `alpha`, off-diagonal `beta`
 // (beta[j] couples rows j and j + 1; the last beta, which couples T_k to
-// the next Lanczos vector, is not part of T_k).  Every operation is O(k).
+// the next Lanczos vector, is not part of T_k).  Every sweep is O(k).
 class Tridiagonal {
  public:
   void Push(double alpha, double beta) {
@@ -29,9 +29,12 @@ class Tridiagonal {
   }
   size_t size() const { return alpha_.size(); }
 
-  /// Brackets the index-th smallest eigenvalue by Sturm bisection down to
-  /// floating-point resolution: *lo <= theta < *hi.
-  void Bisect(size_t index, double* lo, double* hi) const {
+  /// Brackets the smallest and the largest eigenvalue by Sturm bisection
+  /// down to floating-point resolution: lo[0] <= theta_min < hi[0] and
+  /// lo[1] <= theta_max < hi[1].  The two bisections share one Sturm sweep
+  /// per step, but each keeps its own midpoints and its own stop test, so
+  /// each bracket is exactly the one bisecting its end alone would give.
+  void BisectExtremes(double lo[2], double hi[2]) const {
     // Gershgorin discs, padded so every eigenvalue lies strictly inside.
     double a = alpha_[0], b = alpha_[0];
     for (size_t j = 0; j < alpha_.size(); ++j) {
@@ -40,19 +43,28 @@ class Tridiagonal {
       b = std::max(b, alpha_[j] + radius);
     }
     const double pad = 1e-12 * (1.0 + std::max(std::fabs(a), std::fabs(b)));
-    a -= pad;
-    b += pad;
+    const size_t index[2] = {0, alpha_.size() - 1};
+    bool live[2] = {true, true};
+    lo[0] = lo[1] = a - pad;
+    hi[0] = hi[1] = b + pad;
     for (;;) {
-      const double mid = 0.5 * (a + b);
-      if (mid <= a || mid >= b) break;
-      if (CountBelow(mid) > index) {
-        b = mid;
-      } else {
-        a = mid;
+      double mid[2];
+      for (int e = 0; e < 2; ++e) {
+        mid[e] = 0.5 * (lo[e] + hi[e]);
+        if (mid[e] <= lo[e] || mid[e] >= hi[e]) live[e] = false;
+      }
+      if (!live[0] && !live[1]) break;
+      size_t below[2];
+      CountBelow(mid, below);
+      for (int e = 0; e < 2; ++e) {
+        if (!live[e]) continue;
+        if (below[e] > index[e]) {
+          hi[e] = mid[e];
+        } else {
+          lo[e] = mid[e];
+        }
       }
     }
-    *lo = a;
-    *hi = b;
   }
 
   /// |last component| of the unit eigenvector whose eigenvalue lies next to
@@ -93,17 +105,23 @@ class Tridiagonal {
     return std::fabs(d) < kPivMin ? std::copysign(kPivMin, d) : d;
   }
 
-  /// Eigenvalues of T below x: the negative pivots of T - x I.
-  size_t CountBelow(double x) const {
-    size_t count = 0;
-    double q = 1.0;
+  /// Eigenvalues of T below x[0] and below x[1]: the negative pivots of
+  /// T - x I, both recurrences in one pass.
+  void CountBelow(const double x[2], size_t count[2]) const {
+    size_t c0 = 0, c1 = 0;
+    double q0 = 1.0, q1 = 1.0;
     for (size_t j = 0; j < alpha_.size(); ++j) {
-      q = alpha_[j] - x -
-          (j > 0 ? beta_[j - 1] * beta_[j - 1] / q : 0.0);
-      if (std::fabs(q) < kPivMin) q = -kPivMin;
-      if (q < 0.0) ++count;
+      q0 = alpha_[j] - x[0] -
+           (j > 0 ? beta_[j - 1] * beta_[j - 1] / q0 : 0.0);
+      q1 = alpha_[j] - x[1] -
+           (j > 0 ? beta_[j - 1] * beta_[j - 1] / q1 : 0.0);
+      if (std::fabs(q0) < kPivMin) q0 = -kPivMin;
+      if (std::fabs(q1) < kPivMin) q1 = -kPivMin;
+      if (q0 < 0.0) ++c0;
+      if (q1 < 0.0) ++c1;
     }
-    return count;
+    count[0] = c0;
+    count[1] = c1;
   }
 
   std::vector<double> alpha_, beta_;
@@ -156,7 +174,9 @@ SpectralGapEstimate EstimateSpectralGap(const Graph& g, size_t max_iterations,
         return s;
       }) / volume);
 
-  // A check costs O(k) against a step's O(n + m): run it every step on
+  // A check is ~53 bisection steps per end of the spectrum, each an O(k)
+  // Sturm sweep (the two ends share one), then three O(k) inverse
+  // iterations per end, against a step's O(n + m): run it every step on
   // large graphs; on small ones, space checks so that they cost about what
   // the steps between them do, but never more than k/8 steps apart.
   const double step_cost = static_cast<double>(n + 2 * g.num_edges());
@@ -205,12 +225,11 @@ SpectralGapEstimate EstimateSpectralGap(const Graph& g, size_t max_iterations,
     last_check = k;
     // Extreme Ritz values, each taken at the outer end of its bracket, plus
     // the larger residual bound beta_k |s_k| of the two Ritz pairs.
-    double min_lo, min_hi, max_lo, max_hi;
-    t.Bisect(0, &min_lo, &min_hi);
-    t.Bisect(t.size() - 1, &max_lo, &max_hi);
-    out.residual = beta * std::max(t.LastComponent(min_lo),
-                                   t.LastComponent(max_hi));
-    const double ritz = std::max(std::fabs(min_lo), std::fabs(max_hi));
+    double lo[2], hi[2];
+    t.BisectExtremes(lo, hi);
+    out.residual = beta * std::max(t.LastComponent(lo[0]),
+                                   t.LastComponent(hi[1]));
+    const double ritz = std::max(std::fabs(lo[0]), std::fabs(hi[1]));
     out.lambda = std::min(1.0, ritz + out.residual);
     out.gap = 1.0 - out.lambda;
     if (ritz >= 1.0 - kUnitRitz) {

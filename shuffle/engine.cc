@@ -206,6 +206,83 @@ void ReceiveShard(size_t d, size_t shards, const size_t* bounds,
 
 }  // namespace
 
+// One sort of report ids [0, total) into the per-user CSR by a column of
+// users (DESIGN.md §4c): the exchange sorts by the holder column, injection
+// by the origin column.  Shard c partitions the contiguous report-id range
+// [first_report(c), first_report(c + 1)) and receives the contiguous user
+// range [bounds[c], bounds[c + 1]).  The shard count only affects
+// scheduling: every slice is filled in ascending report id (ReceiveShard),
+// so the CSR is bit-identical for any thread count (including 1).  The
+// user bounds come from ShardOf's map: shard c starts at the first user v
+// with (v * mul) >> 32 >= c.
+class ExchangeSort {
+ public:
+  // n > 0 users, `total` reports.  Every resize target depends only on
+  // (n, total, shards), so for a fixed session the workspace settles at the
+  // first call and incremental Step(1) loops re-enter allocation-free
+  // (pinned by tests/test_session_incremental.cc):
+  //   block_ids/dests — the per-destination-shard (id, user) blocks, the
+  //                     user overwritten by the claimed slot;
+  //   grid            — the block starts, one row per source shard;
+  //   bounds          — the destination shards' user bounds.
+  ExchangeSort(ExchangeWorkspace* ws, size_t n, uint32_t total)
+      : ws_(*ws),
+        total_(total),
+        shards_(std::min(
+            {std::max<size_t>(ThreadCount(), 1), n, kMaxRoutingShards})),
+        mul_((uint64_t{shards_} << 32) / n) {
+    ws_.block_ids_.resize(total);
+    ws_.block_dests_.resize(total);
+    ws_.bounds_.resize(shards_ + 1);
+    ws_.grid_.resize(shards_ * (shards_ + 1));
+    for (size_t c = 0; c <= shards_; ++c) {
+      ws_.bounds_[c] =
+          std::min<size_t>(n, ((uint64_t{c} << 32) + mul_ - 1) / mul_);
+    }
+  }
+
+  size_t shards() const { return shards_; }
+  const size_t* bounds() const { return ws_.bounds_.data(); }
+  uint32_t first_report(size_t c) const {
+    // ns-lint: allow(narrow32): c <= shards, so the quotient is <= total,
+    // itself a uint32.
+    return static_cast<uint32_t>(uint64_t{total_} * c / shards_);
+  }
+
+  // Source shard c's partition of its reports by column[r]'s destination
+  // shard.  Every column entry in the shard's range must be < n.
+  void Partition(size_t c, const NodeId* column) {
+    PartitionShard(first_report(c), first_report(c + 1), shards_, mul_,
+                   column, ws_.grid_.data() + c * (shards_ + 1),
+                   ws_.block_ids_.data(), ws_.block_dests_.data());
+  }
+
+  // Destination phase, after every source shard's Partition (parallel over
+  // shards): each shard histograms, prefixes and scatters the blocks
+  // addressed to it, writing its users' CSR offsets and slices — disjoint
+  // between shards (ReceiveShard).  The CSR is a function of the column
+  // alone, so it is rebuilt in place: nothing reads the previous one.
+  // then(d) runs in the same chunk, once shard d's slices are placed.
+  template <typename Then>
+  void Receive(ReportStore* store, const Then& then) {
+    uint32_t* offsets = store->mutable_offsets();
+    ReportId* arena = store->mutable_arena();
+    offsets[0] = 0;
+    GlobalPool().RunChunks(shards_, [&](size_t d) {
+      ReceiveShard(d, shards_, ws_.bounds_.data(), ws_.grid_.data(),
+                   ws_.block_dests_.data(), ws_.block_ids_.data(),
+                   offsets + 1, arena);
+      then(d);
+    });
+  }
+
+ private:
+  ExchangeWorkspace& ws_;
+  uint32_t total_;
+  size_t shards_;
+  uint64_t mul_;
+};
+
 size_t ExchangeWorkspace::MemoryBytes() const {
   return block_ids_.capacity() * sizeof(ReportId) +
          block_dests_.capacity() * sizeof(uint32_t) +
@@ -237,58 +314,75 @@ ExchangeResult StartExchange(const Graph& g, ShuffleMetrics* metrics) {
   return result;
 }
 
-ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
-                             ShuffleMetrics* metrics) {
-  const size_t n = g.num_nodes();
-  if (payloads.num_reports() != n) {
-    NETSHUFFLE_FATAL("StartExchange: arena holds " +
-                     std::to_string(payloads.num_reports()) +
-                     " reports for " + std::to_string(n) +
-                     " users (the protocol injects exactly one per user)");
-  }
-  payloads.Freeze();
+Expected<ExchangeResult> SealAndInject(size_t n, PayloadArena* payloads,
+                                       ShuffleMetrics* metrics,
+                                       ExchangeWorkspace* workspace) {
+  const Expected<const NodeId*> column = payloads->Origins();
+  if (!column.ok()) return column.status();
+  // A violation found below is reported by the arena's own check, which
+  // names it the same way whichever seal found it.
+  if (payloads->num_reports() != n) return payloads->ValidateOnePerUser(n);
+  const NodeId* origins = column.value();
+  std::optional<ExchangeWorkspace> call_scratch;
+  if (workspace == nullptr) workspace = &call_scratch.emplace();
 
   ExchangeResult result;
   ReportStore& store = result.holdings;
   store.AllocateFor(n, n);
-  // Counting-sort injection: holdings[u] = ids with origin u, ascending.
-  uint32_t* offsets = store.mutable_offsets();
-  std::fill(offsets, offsets + n + 1, 0u);
-  for (ReportId r = 0; r < static_cast<ReportId>(n); ++r) {
-    const NodeId o = payloads.origin(r);
-    if (static_cast<size_t>(o) >= n) {
-      NETSHUFFLE_FATAL("StartExchange: report " + std::to_string(r) +
-                       " has origin " + std::to_string(o) + " outside the " +
-                       std::to_string(n) + "-user population");
+  store.mutable_offsets()[0] = 0;
+  if (n != 0) {
+    ExchangeSort sort(workspace, n, CheckedNarrow32(n, "report count"));
+    std::vector<uint8_t> bad(sort.shards(), 0);
+    // Source phase: a shard with an origin out of range stops before
+    // partitioning (ShardOf needs origins < n).
+    GlobalPool().RunChunks(sort.shards(), [&](size_t c) {
+      const uint32_t end = sort.first_report(c + 1);
+      for (uint32_t r = sort.first_report(c); r < end; ++r) {
+        if (origins[r] >= n) {
+          bad[c] = 1;
+          return;
+        }
+      }
+      sort.Partition(c, origins);
+    });
+    if (std::count(bad.begin(), bad.end(), 1) != 0) {
+      return payloads->ValidateOnePerUser(n);
     }
-    ++offsets[o + 1];
-  }
-  for (size_t u = 0; u < n; ++u) {
-    if (offsets[u + 1] != 1) {
-      // With exactly n reports, any user injecting more than one implies
-      // another injects none — a double eps0 spend the certificate cannot
-      // see (Session::Validate reports the same condition as a typed
-      // kPayloadMismatch first).
-      NETSHUFFLE_FATAL("StartExchange: origin " + std::to_string(u) +
-                       " injects " + std::to_string(offsets[u + 1]) +
-                       " reports; the protocol is one report per user");
+    // Destination phase: n in-range reports, so a duplicated origin leaves
+    // another user without one.  Either shows as a load != 1 in the
+    // receiving shard: loads are all 1 iff every offset is the identity.
+    // Each shard reads only the offsets it wrote.
+    const uint32_t* offsets = store.offsets_data();
+    sort.Receive(&store, [&](size_t d) {
+      const size_t end = sort.bounds()[d + 1];
+      for (size_t v = sort.bounds()[d]; v < end; ++v) {
+        if (offsets[v + 1] != v + 1) {
+          bad[d] = 1;
+          return;
+        }
+      }
+    });
+    if (std::count(bad.begin(), bad.end(), 1) != 0) {
+      return payloads->ValidateOnePerUser(n);
     }
-    offsets[u + 1] += offsets[u];
-  }
-  std::vector<uint32_t> cursor(offsets, offsets + n);
-  ReportId* arena = store.mutable_arena();
-  for (ReportId r = 0; r < static_cast<ReportId>(n); ++r) {
-    arena[cursor[payloads.origin(r)]++] = r;
   }
 
-  result.payloads =
-      std::make_shared<const PayloadArena>(std::move(payloads));
+  payloads->Freeze();
+  result.payloads = std::make_shared<const PayloadArena>(std::move(*payloads));
   if (metrics != nullptr) {
-    for (NodeId u = 0; u < n; ++u) {
-      metrics->ObserveUserHoldings(u, store.count(u));
-    }
+    for (NodeId u = 0; u < n; ++u) metrics->ObserveUserHoldings(u, 1);
   }
   return result;
+}
+
+ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
+                             ShuffleMetrics* metrics) {
+  Expected<ExchangeResult> injected =
+      SealAndInject(g.num_nodes(), &payloads, metrics);
+  if (!injected.ok()) {
+    NETSHUFFLE_FATAL("StartExchange: " + injected.status().ToString());
+  }
+  return std::move(injected).value();
 }
 
 ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
@@ -309,44 +403,9 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
   ReportStore& store = result.holdings;
   const uint32_t total =
       CheckedNarrow32(store.num_reports(), "exchange report count");
-
-  // Shards, one per pool slot: shard c walks and partitions the contiguous
-  // report-id range [first_report(c), first_report(c + 1)), and receives
-  // the contiguous user range [bounds[c], bounds[c + 1]).  The shard count
-  // only affects scheduling: every coin comes from a per-(round, report)
-  // stream, and every slice is filled in ascending report id
-  // (ReceiveShard), so the holdings are bit-identical for any thread count
-  // (including 1).  The user bounds come from ShardOf's map: shard c starts
-  // at the first user v with (v * mul) >> 32 >= c.
-  const size_t shards = std::min(
-      {std::max<size_t>(ThreadCount(), 1), n, kMaxRoutingShards});
-  const uint64_t mul = (uint64_t{shards} << 32) / n;
-  auto first_report = [&](size_t c) {
-    // ns-lint: allow(narrow32): c <= shards, so the quotient is <= total,
-    // itself narrowed by CheckedNarrow32 above.
-    return static_cast<uint32_t>(uint64_t{total} * c / shards);
-  };
-
-  // Size the reusable scratch.  Every resize target depends only on
-  // (n, total, shards), so for a fixed session this settles at the first
-  // call and incremental Step(1) loops re-enter allocation-free (pinned by
-  // tests/test_session_incremental.cc):
-  //   block_ids/dests — the per-destination-shard (id, holder) blocks, the
-  //                     holder overwritten by the claimed slot;
-  //   grid            — the block starts, one row per source shard;
-  //   bounds          — the destination shards' user bounds.
-  ExchangeWorkspace& ws = *workspace;
-  ws.block_ids_.resize(total);
-  ws.block_dests_.resize(total);
-  ws.bounds_.resize(shards + 1);
-  ws.grid_.resize(shards * (shards + 1));
-  for (size_t c = 0; c <= shards; ++c) {
-    ws.bounds_[c] = std::min<size_t>(n, ((uint64_t{c} << 32) + mul - 1) / mul);
-  }
-  const size_t* bounds = ws.bounds_.data();
-  uint32_t* grid = ws.grid_.data();
-  ReportId* block_ids = ws.block_ids_.data();
-  uint32_t* block_dests = ws.block_dests_.data();
+  ExchangeSort sort(workspace, n, total);
+  const size_t shards = sort.shards();
+  const size_t* bounds = sort.bounds();
 
   // The holder column is the walk's state.  A state fresh from
   // StartExchange has only the CSR, so the column is derived from it once;
@@ -366,10 +425,12 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
   }
   NodeId* holder = holders.data();
 
+  // Every coin comes from a per-(round, report) stream, so the walk, like
+  // the sort, is bit-identical at any shard count.
   const uint64_t report_seed = ReportWalkSeed(options.seed);
   auto walk = [&](size_t c, size_t from, size_t to) {
-    const uint32_t end = first_report(c + 1);
-    for (uint32_t b = first_report(c); b < end; b += kWalkBlock) {
+    const uint32_t end = sort.first_report(c + 1);
+    for (uint32_t b = sort.first_report(c); b < end; b += kWalkBlock) {
       WalkBlock(g, options, report_seed, from, to, b,
                 std::min(kWalkBlock, end - b), holder);
     }
@@ -402,22 +463,9 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
   // faster than a pass per round at 4 threads (DESIGN.md §4e).
   GlobalPool().RunChunks(shards, [&](size_t c) {
     if (options.metrics == nullptr) walk(c, t_begin, t_end);
-    PartitionShard(first_report(c), first_report(c + 1), shards, mul, holder,
-                   grid + c * (shards + 1), block_ids, block_dests);
+    sort.Partition(c, holder);
   });
-
-  // Destination phase (parallel over shards): each shard histograms,
-  // prefixes and scatters the blocks addressed to it, writing its users'
-  // CSR offsets and slices — disjoint between shards (ReceiveShard above).
-  // The CSR is a function of the holder column alone, so it is rebuilt in
-  // place: nothing reads the previous one.
-  uint32_t* offsets = store.mutable_offsets();
-  ReportId* arena = store.mutable_arena();
-  offsets[0] = 0;
-  GlobalPool().RunChunks(shards, [&](size_t d) {
-    ReceiveShard(d, shards, bounds, grid, block_dests, block_ids, offsets + 1,
-                 arena);
-  });
+  sort.Receive(&store, [](size_t) {});
   return result;
 }
 
@@ -427,29 +475,48 @@ ExchangeResult RunExchange(const Graph& g, const ExchangeOptions& options) {
 
 ProtocolResult FinalizeProtocol(const ExchangeResult& exchange,
                                 ReportingProtocol protocol, uint64_t seed) {
-  Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
   ProtocolResult out;
   out.rounds = exchange.rounds;
   out.payloads = exchange.payloads;
   const ReportStore& store = exchange.holdings;
-  const PayloadArena& arena = *exchange.payloads;
-  out.server_inbox.reserve(store.num_users());
+  const size_t users = store.num_users();
+  const uint32_t* offsets = store.offsets_data();
+  const ReportId* ids = store.arena_data();
+  const NodeId* origins = exchange.payloads->Origins().value();
 
-  for (NodeId u = 0; u < store.num_users(); ++u) {
-    const ReportSpan held = store.reports(u);
-    if (held.empty()) {
+  if (protocol == ReportingProtocol::kAll) {
+    // Every user submits its whole slice in user order, so the report in
+    // CSR slot i lands at inbox[i]: user blocks fill disjoint inbox ranges,
+    // and each returns its count of empty holders (exact as a double).
+    out.server_inbox.resize(store.num_reports());
+    FinalReport* inbox = out.server_inbox.data();
+    out.dummy_reports = static_cast<size_t>(
+        ParallelBlockSum(users, [&](size_t begin, size_t end) {
+          size_t empty = 0;
+          for (size_t u = begin; u < end; ++u) {
+            empty += offsets[u] == offsets[u + 1] ? 1 : 0;
+            for (uint32_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+              inbox[i] =
+                  FinalReport{ids[i], origins[ids[i]], static_cast<NodeId>(u)};
+            }
+          }
+          return static_cast<double>(empty);
+        }));
+    return out;
+  }
+
+  // kSingle: one serial stream, one draw per non-empty holder in user order.
+  Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  out.server_inbox.reserve(users);
+  for (NodeId u = 0; u < users; ++u) {
+    const uint32_t held = offsets[u + 1] - offsets[u];
+    if (held == 0) {
       ++out.dummy_reports;
       continue;
     }
-    if (protocol == ReportingProtocol::kAll) {
-      for (const ReportId id : held) {
-        out.server_inbox.push_back(FinalReport{id, arena.origin(id), u});
-      }
-    } else {
-      const ReportId id = held[rng.UniformInt(held.size())];
-      out.server_inbox.push_back(FinalReport{id, arena.origin(id), u});
-      out.dropped_reports += held.size() - 1;
-    }
+    const ReportId id = ids[offsets[u] + rng.UniformInt(held)];
+    out.server_inbox.push_back(FinalReport{id, origins[id], u});
+    out.dropped_reports += held - 1;
   }
   return out;
 }

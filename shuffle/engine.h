@@ -111,9 +111,10 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
                               const ExchangeOptions& options,
                               ExchangeWorkspace* workspace = nullptr);
 
-/// Reusable scratch for ResumeExchange's one sort per call (DESIGN.md §4c,
-/// §4e): the per-destination-shard (id, holder) blocks, their start grid
-/// and the destination shards' user bounds.  The walk itself needs no heap
+/// Reusable scratch for the engine's one sort per call — ResumeExchange's
+/// by holder, SealAndInject's by origin (DESIGN.md §4c, §4e, §8): the
+/// per-destination-shard (id, user) blocks, their start grid and the
+/// destination shards' user bounds.  The walk itself needs no heap
 /// scratch (a few KB of stack per block).  Hoisted out of the engine so a
 /// serving loop stepping one round at a time (Session::Step(1)) pays the
 /// O(n) allocation once per session instead of once per call; buffer sizing
@@ -139,9 +140,7 @@ class ExchangeWorkspace {
   size_t MemoryBytes() const;
 
  private:
-  friend ExchangeResult ResumeExchange(const Graph&, ExchangeResult,
-                                       const ExchangeOptions&,
-                                       ExchangeWorkspace*);
+  friend class ExchangeSort;  // engine.cc: the one sort that fills these
 
   std::vector<size_t> bounds_;    // destination shards' user bounds
   // Per-destination-shard blocks, laid over each source shard's report-id
@@ -163,12 +162,24 @@ Status ValidateExchangeOptions(const ExchangeOptions& options);
 /// returned state with ResumeExchange.
 ExchangeResult StartExchange(const Graph& g, ShuffleMetrics* metrics = nullptr);
 
-/// Injection over an explicit payload arena: freezes it, then hands each
-/// report id to its origin (holdings[u] = ids with origin(id) == u, in
-/// ascending id order).  The protocol injects exactly one report per user,
-/// so the arena must hold g.num_nodes() reports with every origin in range
-/// — fatal otherwise (Session::Validate surfaces the same condition as a
-/// typed kPayloadMismatch first).
+/// The serving epoch's seal point and injection in one sharded pass
+/// (DESIGN.md §8) over num_users users: hands each report id to its origin
+/// (holdings[u] = ids with origin(id) == u, in ascending id order) with the
+/// exchange's own sort, the origin column standing in for the holder
+/// column.  The sort is
+/// also the one-report-per-user check: a short arena, an origin out of
+/// range, or an origin whose load in its receiving shard is not 1 returns
+/// a typed kPayloadMismatch (a hosted arena's write or map failure,
+/// kIoError), and *payloads stays as it was, unfrozen.  On success
+/// *payloads is frozen and moved into the result.  `workspace` as in
+/// ResumeExchange; results are bit-identical at any pool width.
+Expected<ExchangeResult> SealAndInject(size_t num_users,
+                                       PayloadArena* payloads,
+                                       ShuffleMetrics* metrics = nullptr,
+                                       ExchangeWorkspace* workspace = nullptr);
+
+/// SealAndInject for callers that have already checked the arena
+/// (Session::Validate): fatal on what SealAndInject reports.
 ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
                              ShuffleMetrics* metrics = nullptr);
 
@@ -179,7 +190,9 @@ ExchangeResult RunExchange(const Graph& g, const ExchangeOptions& options);
 
 /// Applies a reporting protocol to finished holdings, producing the
 /// curator's inbox.  Read-only on the exchange state, so mid-run audits can
-/// finalize repeatedly without copying it.
+/// finalize repeatedly without copying it.  kAll fills the inbox on the
+/// pool, by user shard: the report in CSR slot i lands at inbox[i].  kSingle
+/// draws every user's pick from one serial stream, in user order.
 ProtocolResult FinalizeProtocol(const ExchangeResult& exchange,
                                 ReportingProtocol protocol, uint64_t seed);
 

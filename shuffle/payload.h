@@ -31,6 +31,7 @@
 #include "core/status.h"
 #include "shuffle/backend.h"
 #include "shuffle/protocol.h"
+#include "util/parallel.h"
 
 namespace netshuffle {
 
@@ -146,8 +147,8 @@ class PayloadArena {
   }
 
   /// Seals the arena: further appends are fatal.  Injection
-  /// (StartExchange) freezes unconditionally, so the routed ids always
-  /// reference immutable rows.  Hosted arenas map their column files
+  /// (SealAndInject) freezes every arena it injects, so the routed ids
+  /// always reference immutable rows.  Hosted arenas map their column files
   /// read-only here; a map failure at this point (mid-injection, no caller
   /// that can recover) is fatal — the typed-error seal point is Seal().
   void Freeze() {
@@ -166,14 +167,15 @@ class PayloadArena {
   /// origin twice (a duplicated origin means one user spends its eps0
   /// budget twice and another spends none — the certificate assumes one
   /// report per user, so the certified epsilon would silently be wrong).
-  /// Returns a typed kPayloadMismatch describing the first violation.
-  /// Session::Validate applies it to config-supplied arenas; Seal applies
-  /// it to each serving epoch's streamed ingest.
+  /// Returns a typed kPayloadMismatch naming the first out-of-range report,
+  /// or else the first user without a report.  Session::Validate applies
+  /// it to config-supplied arenas, Seal to a standalone arena; a serving
+  /// epoch's seal is the injection's own check (engine.h SealAndInject),
+  /// which reports a violation through this one.
+  /// Runs on the pool (MarkBits), with ~num_users bytes of scratch.
   Status ValidateOnePerUser(size_t num_users) const {
-    if (hosted_) {
-      const Status mapped = hosted_->EnsureMapped();
-      if (!mapped.ok()) return mapped;
-    }
+    const Expected<const NodeId*> column = Origins();
+    if (!column.ok()) return column.status();
     if (num_reports() != num_users) {
       return Status::Error(
           StatusCode::kPayloadMismatch,
@@ -181,33 +183,50 @@ class PayloadArena {
               " reports for " + std::to_string(num_users) +
               " users; the protocol injects exactly one report per user");
     }
-    const NodeId* origins = hosted_ ? hosted_->origins() : origins_.data();
-    std::vector<bool> seen(num_users, false);
-    for (ReportId r = 0; r < static_cast<ReportId>(num_users); ++r) {
-      const NodeId o = origins[r];
-      if (static_cast<size_t>(o) >= num_users) {
-        return Status::Error(
-            StatusCode::kPayloadMismatch,
-            "report " + std::to_string(r) + " has origin " +
-                std::to_string(o) + " outside the " +
-                std::to_string(num_users) + "-user population");
-      }
-      if (seen[o]) {
-        return Status::Error(
-            StatusCode::kPayloadMismatch,
-            "origin " + std::to_string(o) + " injects more than one report; "
-                "the protocol (and its accounting) is one report per user");
-      }
-      seen[o] = true;
+    const NodeId* origins = column.value();
+    std::vector<uint64_t> seen((num_users + 63) / 64, 0);
+    const MarkCounts marks =
+        MarkBits(num_users, num_users,
+                 [origins](size_t r) { return size_t{origins[r]}; },
+                 seen.data());
+    if (marks.out_of_range != 0) {
+      const size_t r = marks.first_out_of_range;
+      return Status::Error(
+          StatusCode::kPayloadMismatch,
+          "report " + std::to_string(r) + " has origin " +
+              std::to_string(origins[r]) + " outside the " +
+              std::to_string(num_users) + "-user population");
     }
-    return Status::Ok();
+    if (marks.added == num_users) return Status::Ok();
+    // n reports, all in range, fewer than n distinct origins: some user has
+    // none because another has more than one.
+    size_t w = 0;
+    while (seen[w] == ~uint64_t{0}) ++w;
+    const size_t missing =
+        w * 64 + static_cast<size_t>(__builtin_ctzll(~seen[w]));
+    return Status::Error(
+        StatusCode::kPayloadMismatch,
+        "origin " + std::to_string(missing) + " injects no report, so another "
+            "injects more than one; the protocol (and its accounting) is one "
+            "report per user");
   }
 
-  /// The per-epoch seal point of the serving lifecycle (DESIGN.md §8):
-  /// validates the one-report-per-user invariant and, only if it holds,
-  /// freezes the arena.  On violation the arena stays MUTABLE, so a
-  /// streaming producer can append the missing reports and re-seal (a
-  /// duplicated origin, however, cannot be retracted — discard the arena).
+  /// The origins column as one array (Origins().value()[r] == origin(r)),
+  /// for the passes that read every report.  A hosted arena flushes and
+  /// maps first: kIoError if a write or the map failed.
+  Expected<const NodeId*> Origins() const {
+    if (!hosted_) return origins_.data();
+    const Status mapped = hosted_->EnsureMapped();
+    if (!mapped.ok()) return mapped;
+    return hosted_->origins();
+  }
+
+  /// A standalone seal: validates the one-report-per-user invariant and,
+  /// only if it holds, freezes the arena.  (A serving epoch seals inside
+  /// its injection, engine.h SealAndInject, with the same outcomes.)  On
+  /// violation the arena stays MUTABLE, so a streaming producer can append
+  /// the missing reports and re-seal (a duplicated origin, however, cannot
+  /// be retracted — discard the arena).
   /// Hosted arenas surface write and map failures here as kIoError, also
   /// without freezing.  After a map failure the stream stays appendable and
   /// a later re-Seal retries; a write failure is sticky (bytes were lost),

@@ -3,7 +3,8 @@
 //
 // Coverage is tracked incrementally on ingest — a persistent seen-origin
 // bitmap updated per received report — so PayloadCoverage() is O(1) instead
-// of re-scanning the inbox with a fresh O(n) bitmap per call.  Reports whose
+// of re-scanning the inbox with a fresh O(n) bitmap per call.  ReceiveAll
+// marks a whole inbox on the pool (util/parallel.h MarkBits).  Reports whose
 // origin lies outside the expected population are counted in
 // invalid_origin_count() instead of silently vanishing from the statistics.
 //
@@ -15,18 +16,22 @@
 #ifndef NETSHUFFLE_SHUFFLE_SERVER_H_
 #define NETSHUFFLE_SHUFFLE_SERVER_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "shuffle/protocol.h"
+#include "util/parallel.h"
 
 namespace netshuffle {
 
 class Server {
  public:
   explicit Server(size_t expected_users)
-      : expected_users_(expected_users), seen_(expected_users, false) {}
+      : expected_users_(expected_users),
+        seen_((expected_users + 63) / 64, 0) {}
 
   /// Single-report ingestion; prefer ReceiveAll for whole inboxes.
   void Receive(FinalReport fr) {
@@ -34,10 +39,15 @@ class Server {
     inbox_.push_back(fr);
   }
 
-  /// Batched ingestion of a finalized inbox: one coverage pass plus a single
-  /// move/append, instead of n push_back calls.
+  /// Batched ingestion of a finalized inbox: one coverage pass on the pool
+  /// plus a single move/append, instead of n push_back calls.
   void ReceiveAll(std::vector<FinalReport> frs) {
-    for (const FinalReport& fr : frs) Observe(fr);
+    const MarkCounts marks = MarkBits(
+        frs.size(), expected_users_,
+        [&frs](size_t i) { return static_cast<size_t>(frs[i].origin); },
+        seen_.data());
+    distinct_origins_ += marks.added;
+    invalid_origin_count_ += marks.out_of_range;
     if (inbox_.empty()) {
       inbox_ = std::move(frs);
     } else {
@@ -83,7 +93,7 @@ class Server {
     stats.coverage = PayloadCoverage();
     epochs_.push_back(stats);
     inbox_.clear();
-    seen_.assign(expected_users_, false);
+    std::fill(seen_.begin(), seen_.end(), 0);
     distinct_origins_ = 0;
     invalid_origin_count_ = 0;
   }
@@ -99,14 +109,16 @@ class Server {
       ++invalid_origin_count_;
       return;
     }
-    if (!seen_[o]) {
-      seen_[o] = true;
+    const uint64_t bit = uint64_t{1} << (o & 63);
+    if ((seen_[o >> 6] & bit) == 0) {
+      seen_[o >> 6] |= bit;
       ++distinct_origins_;
     }
   }
 
   size_t expected_users_;
-  std::vector<bool> seen_;  // origin -> already counted in distinct_origins_
+  // Bit o: origin o is already counted in distinct_origins_.
+  std::vector<uint64_t> seen_;
   size_t distinct_origins_ = 0;
   size_t invalid_origin_count_ = 0;
   std::vector<FinalReport> inbox_;

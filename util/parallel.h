@@ -16,8 +16,10 @@
 #ifndef NETSHUFFLE_UTIL_PARALLEL_H_
 #define NETSHUFFLE_UTIL_PARALLEL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -124,6 +126,76 @@ void ParallelFor(size_t n, size_t grain,
 /// thread count (though not to a single straight-line accumulation).
 double ParallelBlockSum(size_t n,
                         const std::function<double(size_t, size_t)>& block_sum);
+
+/// What MarkBits saw.
+struct MarkCounts {
+  /// Bits that went from 0 to 1.
+  size_t added = 0;
+  /// Keys >= the universe, skipped.
+  size_t out_of_range = 0;
+  /// The smallest index whose key was out of range (SIZE_MAX if none).
+  size_t first_out_of_range = SIZE_MAX;
+};
+
+/// Sets bit key_at(i) of `words` (a bitmap over [0, universe), 64 bits to a
+/// word) for every i in [0, count).  Each index shard marks a private
+/// bitmap, then word ranges OR the private bitmaps into `words` and count
+/// the new bits, so no pass writes a shared address and the counts do not
+/// depend on the width.  Scratch: one universe / 8 byte bitmap per shard,
+/// at most 8 shards; inputs too small to split mark `words` directly.
+template <typename KeyAt>
+MarkCounts MarkBits(size_t count, size_t universe, const KeyAt& key_at,
+                    uint64_t* words) {
+  constexpr size_t kMaxShards = 8;
+  constexpr size_t kMinKeysPerShard = size_t{1} << 14;
+  const size_t num_words = (universe + 63) / 64;
+  ThreadPool& pool = GlobalPool();
+  const size_t shards = std::max<size_t>(
+      1, std::min({pool.size(), kMaxShards, count / kMinKeysPerShard}));
+  std::vector<uint64_t> own(shards > 1 ? shards * num_words : 0);
+  std::vector<MarkCounts> part(shards);
+  pool.RunChunks(shards, [&](size_t c) {
+    uint64_t* mine = shards > 1 ? own.data() + c * num_words : words;
+    // Counters and bounds in locals: size_t may alias the bitmap's words.
+    size_t added = 0, out_of_range = 0, first_out_of_range = SIZE_MAX;
+    const size_t end = count * (c + 1) / shards;
+    for (size_t i = count * c / shards; i < end; ++i) {
+      const size_t k = key_at(i);
+      if (k >= universe) {
+        if (out_of_range++ == 0) first_out_of_range = i;
+        continue;
+      }
+      const uint64_t bit = uint64_t{1} << (k & 63);
+      added += (mine[k >> 6] & bit) == 0 ? 1 : 0;
+      mine[k >> 6] |= bit;
+    }
+    part[c] = MarkCounts{added, out_of_range, first_out_of_range};
+  });
+  MarkCounts total;
+  for (const MarkCounts& p : part) {
+    total.out_of_range += p.out_of_range;
+    total.first_out_of_range =
+        std::min(total.first_out_of_range, p.first_out_of_range);
+  }
+  if (shards == 1) {
+    total.added = part[0].added;
+    return total;
+  }
+  // Exact: the block sums are integers far below 2^53.
+  total.added = static_cast<size_t>(
+      ParallelBlockSum(num_words, [&](size_t begin, size_t end) {
+        size_t added = 0;
+        for (size_t w = begin; w < end; ++w) {
+          uint64_t merged = words[w];
+          for (size_t c = 0; c < shards; ++c) merged |= own[c * num_words + w];
+          added += static_cast<size_t>(__builtin_popcountll(merged) -
+                                       __builtin_popcountll(words[w]));
+          words[w] = merged;
+        }
+        return static_cast<double>(added);
+      }));
+  return total;
+}
 
 }  // namespace netshuffle
 
