@@ -100,21 +100,33 @@ void BM_BeginEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_BeginEpoch)->Arg(100000)->Unit(benchmark::kMicrosecond);
 
+// One relay session of one round: seal, one hop, submission.  Items are
+// report-hops (n x rounds), so the time per item reads the same across n.
 void BM_SecureRelayRound(benchmark::State& state) {
-  const size_t n = 256;
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t rounds = 1;
   Graph g = MakeCirculant(n, 8);
-  Pki pki(4);
-  pki.RegisterUsers(n);
-  pki.RegisterServer();
-  std::vector<Bytes> payloads(n, Bytes{1, 2, 3, 4, 5, 6, 7, 8});
+  const Pki pki(4, n);
+  PayloadArena payloads;
+  for (size_t u = 0; u < n; ++u) {
+    payloads.Append(static_cast<NodeId>(u), Bytes{1, 2, 3, 4, 5, 6, 7, 8});
+  }
   uint64_t seed = 0;
   for (auto _ : state) {
-    auto r = RunSecureRelaySession(g, &pki, payloads, /*rounds=*/1, ++seed);
-    benchmark::DoNotOptimize(r.delivered_payloads.data());
+    auto r = RunSecureRelaySession(g, pki, payloads, rounds, ++seed);
+    if (!r.ok()) {
+      state.SkipWithError("RunSecureRelaySession failed");
+      break;
+    }
+    benchmark::DoNotOptimize(r.value().delivered_payloads.data());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(n * rounds));
 }
-BENCHMARK(BM_SecureRelayRound)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SecureRelayRound)
+    ->Arg(256)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace netshuffle

@@ -50,8 +50,7 @@ int main() {
     ShuffleMetrics nm(n);
     ExchangeOptions opts;
     opts.rounds = rounds;
-    opts.metrics = &nm;
-    RunExchange(g, opts);
+    RunCountedExchange(g, opts, &nm);
 
     t.NewRow()
         .AddInt(static_cast<long long>(n))

@@ -161,7 +161,6 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
       delta2_(config.delta2()),
       seed_(config.seed()),
       faults_(config.faults()),
-      metrics_(config.metrics()),
       allow_non_ergodic_(config.allow_non_ergodic()),
       require_mixed_rounds_(config.require_mixed_rounds()),
       backend_(std::move(backend)),
@@ -176,8 +175,8 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
   rounds_fixed_ = config.rounds() > 0;
   target_rounds_ = rounds_fixed_ ? config.rounds() : mixing_rounds_;
   state_ = config.has_payloads()
-               ? StartExchange(graph_, config.ReleasePayloads(), metrics_)
-               : StartExchange(graph_, metrics_);
+               ? StartExchange(graph_, config.ReleasePayloads())
+               : StartExchange(graph_);
   pending_ = MakePendingArena();
 }
 
@@ -216,7 +215,6 @@ Status Session::Step(size_t k) {
   opts.rounds = k;
   opts.seed = epoch_seed_;
   opts.faults = faults_;
-  opts.metrics = metrics_;
   state_ = ResumeExchange(graph_, std::move(state_), opts, &exchange_ws_);
   // Publish AFTER the exchange lands: a reader that observes the new round
   // count may immediately certify a guarantee at it.
@@ -303,7 +301,7 @@ Status Session::BeginEpoch() {
   // It writes only a fresh state and the mutator's workspace, so readers
   // keep answering until the swap below.
   Expected<ExchangeResult> injected =
-      SealAndInject(num_users_, &pending_, metrics_, &exchange_ws_);
+      SealAndInject(num_users_, &pending_, &exchange_ws_);
   if (!injected.ok()) return injected.status();
   pending_ = std::move(next_pending);
   {

@@ -12,11 +12,11 @@
 // Guarantee() queries the certified central (eps, delta) at the current
 // round, Finalize() produces the curator inbox at any point.  Splitting a
 // run into steps is bit-identical to the one-shot Run() at any thread count,
-// because every engine coin is drawn from a per-(seed, absolute round, user)
-// stream (shuffle/engine.h) — pinned by tests/test_session_incremental.cc.
-// That enables mid-run accounting curves, early stopping at a target
-// epsilon (StepUntil), dynamic-graph rewiring between steps (Rewire), and
-// per-step fault/collusion injection.
+// because every report's coin is drawn from a per-(seed, absolute round,
+// report) stream (shuffle/engine.h) — pinned by
+// tests/test_session_incremental.cc.  That enables mid-run accounting
+// curves and audits, early stopping at a target epsilon (StepUntil), and
+// dynamic-graph rewiring between steps (Rewire).
 //
 // A Session is also a long-lived SERVING core (DESIGN.md §8): reports
 // stream in via Ingest() between epochs, BeginEpoch() seals them into a
@@ -150,13 +150,6 @@ class SessionConfig {
     return *this;
   }
 
-  /// Optional complexity counters, filled during Step; must outlive the
-  /// session.
-  SessionConfig& SetMetrics(ShuffleMetrics* metrics) {
-    metrics_ = metrics;
-    return *this;
-  }
-
   /// Escape hatch: accept disconnected / bipartite graphs (the walk theory
   /// does not apply; the certificate falls back to the eps0 floor).
   SessionConfig& AllowNonErgodic(bool allow = true) {
@@ -186,7 +179,6 @@ class SessionConfig {
   double delta2() const { return delta2_; }
   uint64_t seed() const { return seed_; }
   const FaultModel* faults() const { return faults_; }
-  ShuffleMetrics* metrics() const { return metrics_; }
   bool allow_non_ergodic() const { return allow_non_ergodic_; }
   bool require_mixed_rounds() const { return require_mixed_rounds_; }
   const StorageBackendConfig& storage() const { return storage_; }
@@ -203,7 +195,6 @@ class SessionConfig {
   double delta2_ = 0.5e-6;
   uint64_t seed_ = 2022;
   const FaultModel* faults_ = nullptr;
-  ShuffleMetrics* metrics_ = nullptr;
   bool allow_non_ergodic_ = false;
   bool require_mixed_rounds_ = false;
 };
@@ -530,7 +521,6 @@ class Session {
   double delta2_ = 0.5e-6;
   uint64_t seed_ = 2022;
   const FaultModel* faults_ = nullptr;
-  ShuffleMetrics* metrics_ = nullptr;
   bool allow_non_ergodic_ = false;
   bool require_mixed_rounds_ = false;
 

@@ -13,7 +13,6 @@
 #include "core/session.h"
 #include "dp/ldp.h"
 #include "graph/generators.h"
-#include "shuffle/engine.h"
 #include "shuffle/fault.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -48,18 +47,16 @@ int main(int argc, char** argv) {
   }
   true_mean /= static_cast<double>(n);
 
-  // One session owns the whole pipeline: graph, mechanism, payloads, fault
-  // model, and metrics.  Rounds are set after probing the mixing time below.
+  // One session owns the whole pipeline: graph, mechanism, payloads and
+  // fault model.  Rounds are set after probing the mixing time below.
   LazyFaultModel faults(laziness);
-  ShuffleMetrics metrics(n);
   SessionConfig config;
   config.SetGraph(std::move(graph))
       .SetMechanism(lap)
       .SetPayloads(std::move(payloads))
       .SetProtocol(ReportingProtocol::kAll)
       .SetSeed(77)
-      .SetFaults(&faults)
-      .SetMetrics(&metrics);
+      .SetFaults(&faults);
   Expected<Session> created = Session::Create(std::move(config));
   if (!created.ok()) {
     std::fprintf(stderr, "session rejected: %s\n",
@@ -94,8 +91,6 @@ int main(int argc, char** argv) {
   std::printf("rounds (lazy-adjusted) : %zu\n", rounds);
   std::printf("reports delivered      : %zu / %zu\n",
               delivered.server_inbox.size(), n);
-  std::printf("messages per device    : %.1f (mean)\n",
-              metrics.mean_user_traffic());
   std::printf("central guarantee      : (%.4f, %.1e)-DP\n", central.epsilon,
               central.delta);
   std::printf("true mean %.3f  |  estimate %.3f  |  error %.3f\n", true_mean,

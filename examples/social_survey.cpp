@@ -52,10 +52,10 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < n; ++i) {
     rr.EmitReport(static_cast<NodeId>(i), answers[i], &rng, &payloads);
   }
-  payloads.Freeze();
 
   // Privacy accounting: validate the graph + budgets into a Session once;
-  // its mixing time is the relay round count.
+  // the relay below runs at its seed and target rounds, so it routes every
+  // report along the walk the certificate prices.
   SessionConfig config;
   config.SetGraph(Graph(ds.graph)).SetMechanism(rr);
   Expected<Session> created = Session::Create(std::move(config));
@@ -70,15 +70,19 @@ int main(int argc, char** argv) {
               accounting.spectral_gap());
 
   // Secure relay session: PKI, c1/c2 layers, t = mixing time rounds.
-  Pki pki(99);
-  pki.RegisterUsers(static_cast<uint32_t>(n));
-  pki.RegisterServer();
-  auto session = RunSecureRelaySession(ds.graph, &pki, payloads, rounds, 321);
+  const Pki pki(99, n);
+  Expected<SecureRelayResult> relayed = RunSecureRelaySession(
+      ds.graph, pki, std::move(payloads), rounds, accounting.seed());
+  if (!relayed.ok()) {
+    std::fprintf(stderr, "relay rejected: %s\n",
+                 relayed.status().ToString().c_str());
+    return 1;
+  }
 
   // Server-side decryption happened inside the session; decode the 4-byte
   // buckets and debias the counts.
   std::vector<uint64_t> observed(kCategories, 0);
-  for (const Bytes& b : session.delivered_payloads) {
+  for (const Bytes& b : relayed.value().delivered_payloads) {
     uint32_t bucket = 0;
     std::memcpy(&bucket, b.data(), sizeof(uint32_t));
     if (bucket < kCategories) ++observed[bucket];

@@ -68,8 +68,11 @@ constexpr uint32_t kPrefetchAhead = 40;
 // Whether holder v's reports hop in absolute round t: v has a neighbor and,
 // under a fault model, is awake on its per-(seed, t, v) availability stream.
 // Every report at v reads the same stream, so they all stay or all go.
-bool Hops(const Graph& g, const ExchangeOptions& options, NodeId v,
-          size_t t) {
+// Kept out of line: inlined into WalkBlock, it costs the fault-free loop
+// registers (GCC 12 spills the block count to the stack).
+__attribute__((noinline)) bool Hops(const Graph& g,
+                                    const ExchangeOptions& options, NodeId v,
+                                    size_t t) {
   if (g.degree(v) == 0) return false;
   if (options.faults == nullptr) return true;
   Rng rng(ExchangeStreamSeed(options.seed, t, v));
@@ -302,20 +305,16 @@ Status ValidateExchangeOptions(const ExchangeOptions& options) {
   return Status::Ok();
 }
 
-ExchangeResult StartExchange(const Graph& g, ShuffleMetrics* metrics) {
+ExchangeResult StartExchange(const Graph& g) {
   const size_t n = g.num_nodes();
   ExchangeResult result;
   result.holdings.InitOnePerUser(n);
   result.payloads =
       std::make_shared<const PayloadArena>(PayloadArena::Identity(n));
-  if (metrics != nullptr) {
-    for (NodeId u = 0; u < n; ++u) metrics->ObserveUserHoldings(u, 1);
-  }
   return result;
 }
 
 Expected<ExchangeResult> SealAndInject(size_t n, PayloadArena* payloads,
-                                       ShuffleMetrics* metrics,
                                        ExchangeWorkspace* workspace) {
   const Expected<const NodeId*> column = payloads->Origins();
   if (!column.ok()) return column.status();
@@ -369,16 +368,11 @@ Expected<ExchangeResult> SealAndInject(size_t n, PayloadArena* payloads,
 
   payloads->Freeze();
   result.payloads = std::make_shared<const PayloadArena>(std::move(*payloads));
-  if (metrics != nullptr) {
-    for (NodeId u = 0; u < n; ++u) metrics->ObserveUserHoldings(u, 1);
-  }
   return result;
 }
 
-ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
-                             ShuffleMetrics* metrics) {
-  Expected<ExchangeResult> injected =
-      SealAndInject(g.num_nodes(), &payloads, metrics);
+ExchangeResult StartExchange(const Graph& g, PayloadArena payloads) {
+  Expected<ExchangeResult> injected = SealAndInject(g.num_nodes(), &payloads);
   if (!injected.ok()) {
     NETSHUFFLE_FATAL("StartExchange: " + injected.status().ToString());
   }
@@ -428,41 +422,16 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
   // Every coin comes from a per-(round, report) stream, so the walk, like
   // the sort, is bit-identical at any shard count.
   const uint64_t report_seed = ReportWalkSeed(options.seed);
-  auto walk = [&](size_t c, size_t from, size_t to) {
-    const uint32_t end = sort.first_report(c + 1);
-    for (uint32_t b = sort.first_report(c); b < end; b += kWalkBlock) {
-      WalkBlock(g, options, report_seed, from, to, b,
-                std::min(kWalkBlock, end - b), holder);
-    }
-  };
-
-  // Table 3's complexity counters need every round's sends and loads, so
-  // with a sink the walk goes round by round and counts in between, on the
-  // coordinating thread: a holder that hops sends its whole load.
-  if (options.metrics != nullptr) {
-    std::vector<uint32_t> load(n, 0);
-    for (uint32_t r = 0; r < total; ++r) ++load[holder[r]];
-    for (size_t t = t_begin; t < t_end; ++t) {
-      for (NodeId v = 0; v < n; ++v) {
-        if (load[v] != 0 && Hops(g, options, v, t)) {
-          options.metrics->AddUserTraffic(v, load[v]);
-        }
-      }
-      GlobalPool().RunChunks(shards, [&](size_t c) { walk(c, t, t + 1); });
-      std::fill(load.begin(), load.end(), 0u);
-      for (uint32_t r = 0; r < total; ++r) ++load[holder[r]];
-      for (NodeId v = 0; v < n; ++v) {
-        options.metrics->ObserveUserHoldings(v, load[v]);
-      }
-    }
-  }
-
   // Source phase (parallel over shards): every report of the shard walks
   // all of this call's rounds, block by block, then the shard partitions
   // its reports by destination shard.  The block schedule measured 10-18%
   // faster than a pass per round at 4 threads (DESIGN.md §4e).
   GlobalPool().RunChunks(shards, [&](size_t c) {
-    if (options.metrics == nullptr) walk(c, t_begin, t_end);
+    const uint32_t end = sort.first_report(c + 1);
+    for (uint32_t b = sort.first_report(c); b < end; b += kWalkBlock) {
+      WalkBlock(g, options, report_seed, t_begin, t_end, b,
+                std::min(kWalkBlock, end - b), holder);
+    }
     sort.Partition(c, holder);
   });
   sort.Receive(&store, [](size_t) {});
@@ -470,7 +439,49 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
 }
 
 ExchangeResult RunExchange(const Graph& g, const ExchangeOptions& options) {
-  return ResumeExchange(g, StartExchange(g, options.metrics), options);
+  return ResumeExchange(g, StartExchange(g), options);
+}
+
+ExchangeResult ObserveEachRound(const Graph& g, ExchangeResult state,
+                                const ExchangeOptions& options,
+                                const RoundObserver& observe,
+                                ExchangeWorkspace* workspace) {
+  ExchangeOptions one = options;
+  one.rounds = 1;
+  std::vector<NodeId> before;
+  for (size_t i = 0; i < options.rounds; ++i) {
+    // The holdings name every report's holder, also where the holder column
+    // is not built yet (a fresh injection).
+    before.resize(state.holdings.num_reports());
+    for (NodeId v = 0; v < state.holdings.num_users(); ++v) {
+      for (const ReportId r : state.holdings.reports(v)) before[r] = v;
+    }
+    state = ResumeExchange(g, std::move(state), one, workspace);
+    observe(before, state.holders);
+  }
+  return state;
+}
+
+ExchangeResult RunCountedExchange(const Graph& g,
+                                  const ExchangeOptions& options,
+                                  ShuffleMetrics* metrics) {
+  const Status valid = ValidateExchangeOptions(options);
+  if (!valid.ok()) NETSHUFFLE_FATAL(valid.ToString());
+  const size_t n = g.num_nodes();
+  // Injection hands every user its own report.
+  for (NodeId v = 0; v < n; ++v) metrics->ObserveUserHoldings(v, 1);
+  std::vector<uint32_t> load(n);
+  const auto count = [&](const std::vector<NodeId>& before,
+                         const std::vector<NodeId>& after) {
+    std::fill(load.begin(), load.end(), 0u);
+    for (size_t r = 0; r < after.size(); ++r) {
+      if (before[r] != after[r]) metrics->AddUserTraffic(before[r], 1);
+      ++load[after[r]];
+    }
+    for (NodeId v = 0; v < n; ++v) metrics->ObserveUserHoldings(v, load[v]);
+  };
+  ExchangeWorkspace workspace;
+  return ObserveEachRound(g, StartExchange(g), options, count, &workspace);
 }
 
 ProtocolResult FinalizeProtocol(const ExchangeResult& exchange,

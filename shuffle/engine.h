@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -22,11 +23,12 @@
 
 namespace netshuffle {
 
-/// Complexity counters shared by the network engine and the Table-3
-/// baselines (baselines/prochlo.h, baselines/mixnet.h).
+/// Complexity counters shared by the network exchange (RunCountedExchange,
+/// below) and the Table-3 baselines (baselines/prochlo.h,
+/// baselines/mixnet.h).
 ///
-/// Not internally synchronized: the exchange engine writes it only from the
-/// coordinating thread, between rounds, so the totals are thread-count
+/// Not internally synchronized: RunCountedExchange writes it only from the
+/// calling thread, between rounds, so the totals are thread-count
 /// invariant.  The serial baselines call the mutators directly.
 class ShuffleMetrics {
  public:
@@ -65,10 +67,6 @@ struct ExchangeOptions {
   uint64_t seed = 1;
   /// Optional availability model; nullptr = everyone always awake.
   const FaultModel* faults = nullptr;
-  /// Optional complexity counters, filled during the run.  With a sink the
-  /// engine walks round by round, counting in between (the Table 3 path);
-  /// the holdings are identical either way.
-  ShuffleMetrics* metrics = nullptr;
 };
 
 struct ExchangeResult {
@@ -157,10 +155,9 @@ class ExchangeWorkspace {
 Status ValidateExchangeOptions(const ExchangeOptions& options);
 
 /// Injects one report per user (holdings[u] = {u's report id}) over an
-/// identity PayloadArena (origin(r) == r, zero payload bytes) and records
-/// the initial metrics observation — round 0 of an exchange.  Advance the
-/// returned state with ResumeExchange.
-ExchangeResult StartExchange(const Graph& g, ShuffleMetrics* metrics = nullptr);
+/// identity PayloadArena (origin(r) == r, zero payload bytes) — round 0 of
+/// an exchange.  Advance the returned state with ResumeExchange.
+ExchangeResult StartExchange(const Graph& g);
 
 /// The serving epoch's seal point and injection in one sharded pass
 /// (DESIGN.md §8) over num_users users: hands each report id to its origin
@@ -175,18 +172,40 @@ ExchangeResult StartExchange(const Graph& g, ShuffleMetrics* metrics = nullptr);
 /// ResumeExchange; results are bit-identical at any pool width.
 Expected<ExchangeResult> SealAndInject(size_t num_users,
                                        PayloadArena* payloads,
-                                       ShuffleMetrics* metrics = nullptr,
                                        ExchangeWorkspace* workspace = nullptr);
 
 /// SealAndInject for callers that have already checked the arena
 /// (Session::Validate): fatal on what SealAndInject reports.
-ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
-                             ShuffleMetrics* metrics = nullptr);
+ExchangeResult StartExchange(const Graph& g, PayloadArena payloads);
 
 /// Runs a fresh report exchange (StartExchange + ResumeExchange).  Reports
 /// are conserved: every one of the n injected reports is held by exactly one
 /// user afterwards.  Fatal on options.rounds == 0.
 ExchangeResult RunExchange(const Graph& g, const ExchangeOptions& options);
+
+/// Report r's holder before and after one round, indexed by report id.
+using RoundObserver = std::function<void(const std::vector<NodeId>& before,
+                                         const std::vector<NodeId>& after)>;
+
+/// How code that must see every round's holders rides the one walk:
+/// advances `state` by options.rounds rounds (0 is a no-op here) with one
+/// ResumeExchange(rounds = 1) call per round through `workspace`, and after
+/// each round calls observe(before, after).  Any Step partition is
+/// bit-identical, so the holdings are those of one options.rounds-round
+/// call.  Callers: RunCountedExchange and the secure relay (shuffle/pki.h).
+ExchangeResult ObserveEachRound(const Graph& g, ExchangeResult state,
+                                const ExchangeOptions& options,
+                                const RoundObserver& observe,
+                                ExchangeWorkspace* workspace);
+
+/// RunExchange with Table 3's counters (bench/table3_complexity.cc): every
+/// user's load is observed at injection and after each round, and each
+/// report that leaves a holder adds one send to it.  The graph has no
+/// self-loops, so a report was sent iff its holder changed.  Holdings are
+/// those of RunExchange(g, options).  Fatal on options.rounds == 0.
+ExchangeResult RunCountedExchange(const Graph& g,
+                                  const ExchangeOptions& options,
+                                  ShuffleMetrics* metrics);
 
 /// Applies a reporting protocol to finished holdings, producing the
 /// curator's inbox.  Read-only on the exchange state, so mid-run audits can

@@ -1,156 +1,128 @@
 #include "shuffle/pki.h"
 
+#include <atomic>
 #include <string>
 #include <utility>
+#include <vector>
 
-#include "core/status.h"
+#include "shuffle/engine.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace netshuffle {
 
-void Pki::RegisterUsers(uint32_t n) {
-  user_keys_.resize(n);
-  for (uint32_t u = 0; u < n; ++u) {
-    user_keys_[u] = DeriveAeadKey(seed_ ^ 0xbeefULL, u);
+Pki::Pki(uint64_t seed, size_t num_users)
+    : user_keys_(num_users),
+      server_key_(DeriveAeadKey(seed ^ 0x5e7e7ULL, 0)) {
+  for (size_t u = 0; u < num_users; ++u) {
+    user_keys_[u] = DeriveAeadKey(seed ^ 0xbeefULL, u);
   }
-}
-
-void Pki::RegisterServer() {
-  server_key_ = DeriveAeadKey(seed_ ^ 0x5e7e7ULL, 0);
-  server_registered_ = true;
 }
 
 namespace {
 
-// Shared relay core: message i (any byte length) enters the walk at
-// first_holder(i) carrying bytes(i).  The two overloads below only differ
-// in where the plaintexts and first holders come from.
-//
-// An authentication failure anywhere in this honest relay means the relay
-// itself mis-keyed or mis-sequenced a layer — a contract violation, so it
-// fatals rather than delivering a payload whose provenance it cannot vouch
-// for.  (Adversarial tampering is exercised directly against the AEAD in
-// tests/test_pki.cc.)
-template <typename FirstHolderFn, typename BytesFn>
-SecureRelayResult RelaySession(const Graph& g, Pki* pki, size_t count,
-                               FirstHolderFn first_holder, BytesFn bytes,
-                               size_t rounds, uint64_t seed) {
-  const size_t n = g.num_nodes();
-  // An unregistered key set or an out-of-range first holder would index
-  // user_keys_ / held out of bounds and silently corrupt the relay; fail
-  // loudly instead (the analogous exchange path, StartExchange, does too).
-  if (pki->num_users() < n || !pki->server_registered()) {
-    NETSHUFFLE_FATAL("RunSecureRelaySession: PKI has keys for " +
-                     std::to_string(pki->num_users()) + " of " +
-                     std::to_string(n) + " users (server registered: " +
-                     (pki->server_registered() ? "yes" : "no") +
-                     "); call RegisterUsers(n) and RegisterServer() first");
-  }
-  if (count != n) {
-    NETSHUFFLE_FATAL("RunSecureRelaySession: " + std::to_string(count) +
-                     " payloads for " + std::to_string(n) +
-                     " users (the relay carries exactly one per user)");
-  }
-  for (size_t i = 0; i < count; ++i) {
-    if (static_cast<size_t>(first_holder(i)) >= n) {
-      NETSHUFFLE_FATAL("RunSecureRelaySession: payload " + std::to_string(i) +
-                       " starts at holder " +
-                       std::to_string(first_holder(i)) + " outside the " +
-                       std::to_string(n) + "-user population");
-    }
-  }
-  Rng rng(seed);
-  SecureRelayResult result;
+// Reports per pool task in the relay's per-report passes: a report costs a
+// few AEAD passes over its payload, so a task of this many amortizes the
+// dispatch.
+constexpr size_t kRelayGrain = 64;
 
-  struct Ciphertext {
-    uint64_t nonce;  // per-message nonce, fixed for the message's lifetime
-    uint32_t layer;  // wrap counter: outer layer's AEAD layer index
-    Bytes sealed;    // c1 (server layer 0) under the holder's outer layer
-  };
-
-  // Each message's source seals c1 under the server key (layer 0) and
-  // hands it to the first holder under that holder's outer layer (layer 1).
-  std::vector<std::vector<Ciphertext>> held(n);
-  for (size_t i = 0; i < count; ++i) {
-    const NodeId u = first_holder(i);
-    Ciphertext ct;
-    ct.nonce = rng.Next();
-    ct.layer = 1;
-    const Bytes c1 = AeadSeal(pki->ServerKey(), ct.nonce, 0, bytes(i));
-    ct.sealed = AeadSeal(pki->UserKey(u), ct.nonce, ct.layer, c1);
-    held[u].push_back(std::move(ct));
-  }
-
-  Bytes inner;
-  std::vector<std::vector<Ciphertext>> next(n);
-  for (size_t round = 0; round < rounds; ++round) {
-    for (auto& h : next) h.clear();
-    for (NodeId u = 0; u < n; ++u) {
-      const size_t deg = g.degree(u);
-      for (Ciphertext& ct : held[u]) {
-        if (deg == 0) {
-          next[u].push_back(std::move(ct));
-          continue;
-        }
-        const NodeId dest = g.neighbors_begin(u)[rng.UniformInt(deg)];
-        // Authenticate + strip our outer layer, re-wrap for the next
-        // holder under a fresh layer counter (never reuses a (key, nonce,
-        // layer) triple even when the walk revisits a holder).
-        if (!AeadOpen(pki->UserKey(u), ct.nonce, ct.layer, ct.sealed,
-                      &inner)) {
-          NETSHUFFLE_FATAL("secure relay: outer layer failed to "
-                           "authenticate at hop (relay invariant broken)");
-        }
-        ++ct.layer;
-        ct.sealed = AeadSeal(pki->UserKey(dest), ct.nonce, ct.layer, inner);
-        next[dest].push_back(std::move(ct));
-        ++result.relay_hops;
-      }
-    }
-    held.swap(next);
-  }
-
-  // Submission: final holders authenticate + strip their outer layer; the
-  // server authenticates + strips c1.
-  for (NodeId u = 0; u < n; ++u) {
-    for (Ciphertext& ct : held[u]) {
-      if (!AeadOpen(pki->UserKey(u), ct.nonce, ct.layer, ct.sealed,
-                    &inner)) {
-        NETSHUFFLE_FATAL("secure relay: outer layer failed to authenticate "
-                         "at submission (relay invariant broken)");
-      }
-      Bytes payload;
-      if (!AeadOpen(pki->ServerKey(), ct.nonce, 0, inner, &payload)) {
-        NETSHUFFLE_FATAL("secure relay: server layer failed to authenticate "
-                         "(relay invariant broken)");
-      }
-      result.delivered_payloads.push_back(std::move(payload));
-    }
-  }
-  return result;
-}
+// One report's onion in flight: c1 (the server layer, AEAD layer 0) under
+// its current holder's outer layer, sealed at layer counter `layer`.
+struct Ciphertext {
+  uint32_t layer = 1;
+  Bytes sealed;
+};
 
 }  // namespace
 
-SecureRelayResult RunSecureRelaySession(const Graph& g, Pki* pki,
-                                        const std::vector<Bytes>& payloads,
-                                        size_t rounds, uint64_t seed) {
-  return RelaySession(
-      g, pki, payloads.size(),
-      [](size_t i) { return static_cast<NodeId>(i); },
-      [&](size_t i) -> const Bytes& { return payloads[i]; }, rounds, seed);
-}
+Expected<SecureRelayResult> RunSecureRelaySession(const Graph& g,
+                                                  const Pki& pki,
+                                                  PayloadArena payloads,
+                                                  size_t rounds,
+                                                  uint64_t seed) {
+  const size_t n = g.num_nodes();
+  if (pki.num_users() < n) {
+    return Status::Error(StatusCode::kInvalidArgument,
+                         "RunSecureRelaySession: the PKI has keys for " +
+                             std::to_string(pki.num_users()) + " of " +
+                             std::to_string(n) + " users");
+  }
+  ExchangeWorkspace workspace;
+  Expected<ExchangeResult> injected = SealAndInject(n, &payloads, &workspace);
+  if (!injected.ok()) return injected.status();
+  ExchangeResult state = std::move(injected).value();
+  const PayloadArena& arena = *state.payloads;
+  const NodeId* origins = arena.Origins().value();
 
-SecureRelayResult RunSecureRelaySession(const Graph& g, Pki* pki,
-                                        const PayloadArena& payloads,
-                                        size_t rounds, uint64_t seed) {
-  return RelaySession(
-      g, pki, payloads.num_reports(),
-      [&](size_t i) { return payloads.origin(static_cast<ReportId>(i)); },
-      [&](size_t i) {
-        return payloads.payload(static_cast<ReportId>(i)).ToBytes();
-      },
-      rounds, seed);
+  // Report r's message nonce is (run word, r): no two reports of a run share
+  // one, and each wrap bumps the layer counter (shuffle/aead.h).
+  const uint64_t run_word = HashCombine(seed, 0x72656c6179ULL) << 32;
+  // An honest transcript always authenticates; a failed open anywhere below
+  // is a relay bug, reported once at the end.
+  std::atomic<bool> broken{false};
+  // Every pass below touches only its own reports' entries, so each runs on
+  // the pool.
+  std::vector<Ciphertext> column(n);
+  ParallelFor(n, kRelayGrain, [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      const PayloadSpan payload = arena.payload(static_cast<ReportId>(r));
+      const Bytes c1 = AeadSeal(pki.ServerKey(), run_word | r, 0,
+                                payload.data(), payload.size());
+      column[r].sealed =
+          AeadSeal(pki.UserKey(origins[r]), run_word | r, 1, c1);
+    }
+  });
+
+  ExchangeOptions walk;
+  walk.rounds = rounds;
+  walk.seed = seed;
+  const auto rewrap = [&](const std::vector<NodeId>& before,
+                          const std::vector<NodeId>& after) {
+    ParallelFor(n, kRelayGrain, [&](size_t begin, size_t end) {
+      Bytes inner;
+      for (size_t r = begin; r < end; ++r) {
+        if (before[r] == after[r]) continue;
+        Ciphertext& ct = column[r];
+        if (!AeadOpen(pki.UserKey(before[r]), run_word | r, ct.layer,
+                      ct.sealed, &inner)) {
+          broken = true;
+          continue;
+        }
+        ++ct.layer;
+        ct.sealed = AeadSeal(pki.UserKey(after[r]), run_word | r, ct.layer,
+                             inner);
+      }
+    });
+  };
+  state = ObserveEachRound(g, std::move(state), walk, rewrap, &workspace);
+
+  // Submission in A_all order: every final holder strips its outer layer and
+  // the server strips c1.
+  const std::vector<FinalReport> submitted =
+      FinalizeProtocol(state, ReportingProtocol::kAll, seed).server_inbox;
+  SecureRelayResult result;
+  result.delivered_payloads.resize(submitted.size());
+  ParallelFor(submitted.size(), kRelayGrain, [&](size_t begin, size_t end) {
+    Bytes inner;
+    for (size_t i = begin; i < end; ++i) {
+      const FinalReport& report = submitted[i];
+      const Ciphertext& ct = column[report.id];
+      const uint64_t nonce = run_word | report.id;
+      if (!AeadOpen(pki.UserKey(report.final_holder), nonce, ct.layer,
+                    ct.sealed, &inner) ||
+          !AeadOpen(pki.ServerKey(), nonce, 0, inner,
+                    &result.delivered_payloads[i])) {
+        broken = true;
+      }
+    }
+  });
+  if (broken) {
+    NETSHUFFLE_FATAL(
+        "secure relay: a layer failed to authenticate (relay invariant "
+        "broken)");
+  }
+  for (const Ciphertext& ct : column) result.relay_hops += ct.layer - 1;
+  return result;
 }
 
 }  // namespace netshuffle

@@ -6,10 +6,14 @@
 // Each wrap adds a 16-byte tag and each strip removes one, so a relayed
 // ciphertext holds a constant two layers (payload + 32 bytes) at every hop.
 //
+// The relay has no walk of its own: it steps the exchange engine one round
+// at a time (shuffle/engine.h ObserveEachRound), so a relay at a session's
+// seed and rounds routes exactly as that session's certified run.
+//
 // Keys are derived deterministically from the PKI seed (simulation stand-in
 // for the public-key handshake; a deployment would provision random keys
 // behind the same interface).  Nonce discipline lives in shuffle/aead.h:
-// one message nonce per payload, a layer counter bumped on every wrap.
+// one message nonce per report, a layer counter bumped on every wrap.
 
 #ifndef NETSHUFFLE_SHUFFLE_PKI_H_
 #define NETSHUFFLE_SHUFFLE_PKI_H_
@@ -18,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/status.h"
 #include "graph/graph.h"
 #include "shuffle/aead.h"
 #include "shuffle/payload.h"
@@ -27,57 +32,49 @@ namespace netshuffle {
 
 class Pki {
  public:
-  explicit Pki(uint64_t seed) : seed_(seed) {}
-
-  /// Issues key material for users 0..n-1.
-  void RegisterUsers(uint32_t n);
-  void RegisterServer();
+  /// Issues key material for the server and for users 0..num_users-1.
+  Pki(uint64_t seed, size_t num_users);
 
   size_t num_users() const { return user_keys_.size(); }
-  bool server_registered() const { return server_registered_; }
 
   /// 256-bit AEAD key shared with user u (simulation stand-in for the
   /// public-key handshake).
-  const AeadKey& UserKey(uint32_t u) const { return user_keys_[u]; }
+  const AeadKey& UserKey(NodeId u) const { return user_keys_[u]; }
   const AeadKey& ServerKey() const { return server_key_; }
 
  private:
-  uint64_t seed_;
   std::vector<AeadKey> user_keys_;
   AeadKey server_key_;
-  bool server_registered_ = false;
 };
 
 struct SecureRelayResult {
-  /// Server-side decrypted payloads, in final-holder submission order (i.e.
-  /// shuffled relative to the input).
+  /// Server-side decrypted payloads, in the FinalizeProtocol(kAll) inbox
+  /// order of the same exchange.
   std::vector<Bytes> delivered_payloads;
-  /// Total hop count across all messages.
+  /// Total hop count across all reports.
   size_t relay_hops = 0;
 };
 
-/// Runs one full secure-relay session: onion-wrap every payload (inner
-/// server layer + outer holder layer), walk the ciphertexts `rounds` hops —
-/// each hop authenticates and strips the outer layer, then re-wraps for the
-/// next holder — submit to the server, and open both layers there.  Any
-/// authentication failure along the honest relay is a fatal internal error
-/// (an honest transcript always verifies; tamper detection itself is pinned
-/// by tests/test_pki.cc at the AEAD layer).  Payloads may be any length,
-/// including different lengths per user; each delivered ciphertext carries
-/// a constant 32 bytes of tag overhead.  Requires pki->RegisterUsers(n) for
-/// n == g.num_nodes() and RegisterServer() beforehand.  payloads[u] starts
-/// at holder u.
-SecureRelayResult RunSecureRelaySession(const Graph& g, Pki* pki,
-                                        const std::vector<Bytes>& payloads,
-                                        size_t rounds, uint64_t seed);
-
-/// Arena overload: relays every report's payload slice, starting at its
-/// origin — the curator-bound leg of an index-routed exchange
-/// (shuffle/payload.h).  The arena must hold g.num_nodes() reports with
-/// in-range origins.
-SecureRelayResult RunSecureRelaySession(const Graph& g, Pki* pki,
-                                        const PayloadArena& payloads,
-                                        size_t rounds, uint64_t seed);
+/// Runs one full secure-relay session over `payloads` (one report per user,
+/// any byte length each): every origin seals its payload under the server
+/// key (c1) and its own outer layer; in each of `rounds` rounds of the
+/// engine's walk at `seed`, every report that changed holders is
+/// authenticated and stripped under its previous holder's key and
+/// re-wrapped under its new holder's; then every holder submits in A_all
+/// order and the server opens both layers.  Routes and delivery order are
+/// those of Session::Run() at the same graph, payloads, seed and rounds
+/// (rounds = 0 delivers every payload from its origin).
+///
+/// kInvalidArgument if `pki` has keys for fewer than g.num_nodes() users;
+/// otherwise the injection's errors (engine.h SealAndInject): a short
+/// arena, an out-of-range or a duplicated origin is kPayloadMismatch.  An
+/// honest transcript always authenticates, so a failed open is a fatal
+/// relay bug.
+Expected<SecureRelayResult> RunSecureRelaySession(const Graph& g,
+                                                  const Pki& pki,
+                                                  PayloadArena payloads,
+                                                  size_t rounds,
+                                                  uint64_t seed);
 
 }  // namespace netshuffle
 

@@ -115,8 +115,7 @@ int main() {
   opts.rounds = rounds;
   opts.seed = 99;
   ShuffleMetrics metrics(n);
-  opts.metrics = &metrics;
-  ExchangeResult ex = RunExchange(g, opts);
+  ExchangeResult ex = RunCountedExchange(g, opts, &metrics);
   CHECK(ex.rounds == rounds);
   size_t total = 0;
   std::vector<bool> seen(n, false);
@@ -196,15 +195,14 @@ int main() {
   lazy_opts.rounds = rounds;
   lazy_opts.seed = 123;
   lazy_opts.faults = &lazy;
-  lazy_opts.metrics = &lazy_metrics;
-  ExchangeResult lex = RunExchange(g, lazy_opts);
+  ExchangeResult lex = RunCountedExchange(g, lazy_opts, &lazy_metrics);
   size_t lazy_total = 0;
   for (NodeId u = 0; u < n; ++u) lazy_total += lex.holdings.count(u);
   CHECK(lazy_total == n);
   CHECK(lazy_metrics.mean_user_traffic() < 0.7 * rounds);
   CHECK(lazy_metrics.mean_user_traffic() > 0.3 * rounds);
 
-  // Determinism: same seed, same final holdings.
+  // Determinism: same seed, same final holdings, counted or not.
   ExchangeResult ex2 = RunExchange(g, opts);
   for (NodeId u = 0; u < n; ++u) {
     CHECK(ex2.holdings.count(u) == ex.holdings.count(u));

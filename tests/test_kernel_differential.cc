@@ -18,8 +18,7 @@
 //     6000-leaf star whose hub ends up holding most reports (one
 //     destination takes nearly every slot of the sort),
 //   - fault schedules (LazyFaultModel: Awake reads the holder's stream) and
-//     fault-free runs, with and without a ShuffleMetrics sink (the
-//     round-by-round Table 3 path),
+//     fault-free runs,
 //
 // at NS_THREADS 1/2/3/4 (3 is the one shard split that is not a power of
 // two) and under BOTH storage backends (heap and file-backed mmap payload
@@ -133,8 +132,7 @@ void CheckIdentical(const ExchangeResult& ex,
 // One differential case: step the engine round-by-round (rounds = 1 per
 // call) through the SHARED persistent workspace, checking
 // element identity after every round, then replay the whole run one-shot
-// through the workspace-free overload, once without and once with a
-// metrics sink, and check the final state again.
+// through the workspace-free overload and check the final state again.
 void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
              const FaultModel* faults, ExchangeWorkspace* ws,
              const std::shared_ptr<StorageBackend>& mmap_backend) {
@@ -167,12 +165,6 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
       ExchangeResult oneshot =
           ResumeExchange(g, StartExchange(g, PatternArena(n, backend)), whole);
       CheckIdentical(oneshot, ref);
-
-      ShuffleMetrics metrics(n);
-      whole.metrics = &metrics;
-      ExchangeResult counted = ResumeExchange(
-          g, StartExchange(g, PatternArena(n, backend), &metrics), whole);
-      CheckIdentical(counted, ref);
     }
   }
   SetThreadCount(0);

@@ -58,8 +58,7 @@ Snapshot RunAll(const Graph& g, size_t threads) {
   opts.rounds = 12;
   opts.seed = 2022;
   ShuffleMetrics metrics(g.num_nodes());
-  opts.metrics = &metrics;
-  s.holdings = Flatten(RunExchange(g, opts).holdings);
+  s.holdings = Flatten(RunCountedExchange(g, opts, &metrics).holdings);
   s.max_traffic = metrics.max_user_traffic();
   s.mean_traffic = metrics.mean_user_traffic();
   s.max_memory = metrics.max_user_memory();
@@ -67,7 +66,6 @@ Snapshot RunAll(const Graph& g, size_t threads) {
   // Fault models draw from the same per-(round, user) streams.
   LazyFaultModel lazy(0.3);
   ExchangeOptions faulty = opts;
-  faulty.metrics = nullptr;
   faulty.faults = &lazy;
   s.faulty_holdings = Flatten(RunExchange(g, faulty).holdings);
 

@@ -1,16 +1,20 @@
 #include "shuffle/pki.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/session.h"
 #include "graph/generators.h"
 #include "shuffle/aead.h"
+#include "shuffle/backend.h"
 #include "shuffle/payload.h"
 #include "tests/test_util.h"
+#include "util/parallel.h"
+#include "util/rng.h"
 
 using namespace netshuffle;
-using netshuffle_test::ExpectDeath;
 
 namespace {
 
@@ -141,65 +145,95 @@ int main() {
   // All payloads survive the two-layer onion path byte-for-byte (as a
   // multiset), shuffled across holders.
   const size_t n = 256;
-  Graph g = MakeCirculant(n, 8);
-  Pki pki(7);
-  pki.RegisterUsers(static_cast<uint32_t>(n));
-  pki.RegisterServer();
+  Rng graph_rng(3);
+  const Graph g = MakeRandomRegular(n, 8, &graph_rng);
+  const Pki pki(7, n);
   CHECK(pki.num_users() == n);
-  CHECK(pki.server_registered());
 
+  PayloadArena fixed;
   std::vector<Bytes> payloads(n);
-  for (size_t u = 0; u < n; ++u) {
+  for (NodeId u = 0; u < n; ++u) {
     payloads[u] = Bytes{static_cast<uint8_t>(u), static_cast<uint8_t>(u >> 8),
                         9, 9};
+    fixed.Append(u, payloads[u]);
   }
-  const auto session = RunSecureRelaySession(g, &pki, payloads, 16, 321);
-  CHECK(session.delivered_payloads.size() == n);
-  CHECK(session.relay_hops == n * 16);
-
-  auto sorted_in = payloads;
-  auto sorted_out = session.delivered_payloads;
-  std::sort(sorted_in.begin(), sorted_in.end());
-  std::sort(sorted_out.begin(), sorted_out.end());
-  CHECK(sorted_in == sorted_out);
-  // ... and the delivery order is actually shuffled.
-  CHECK(session.delivered_payloads != payloads);
-
-  // ---- Arena overload: VARIABLE-LENGTH payloads through the onion path ----
-  // Slices of 0..7 bytes, unique content per user: the relay must deliver
-  // the exact multiset of byte slices (round-trip equality), proving the
-  // two-layer wrap/strip path is length-preserving and byte-exact for
-  // heterogeneous payload sizes.
   {
-    PayloadArena arena;
-    std::vector<Bytes> slices;
+    const auto relayed = RunSecureRelaySession(g, pki, fixed, 16, 321);
+    CHECK(relayed.ok());
+    const SecureRelayResult& session = relayed.value();
+    CHECK(session.delivered_payloads.size() == n);
+    CHECK(session.relay_hops == n * 16);
+
+    auto sorted_in = payloads;
+    auto sorted_out = session.delivered_payloads;
+    std::sort(sorted_in.begin(), sorted_in.end());
+    std::sort(sorted_out.begin(), sorted_out.end());
+    CHECK(sorted_in == sorted_out);
+    // ... and the delivery order is actually shuffled.
+    CHECK(session.delivered_payloads != payloads);
+  }
+
+  // Zero rounds: every report is submitted by its origin, in user order.
+  {
+    const auto relayed = RunSecureRelaySession(g, pki, fixed, 0, 321);
+    CHECK(relayed.ok());
+    CHECK(relayed.value().delivered_payloads == payloads);
+    CHECK(relayed.value().relay_hops == 0);
+  }
+
+  // ---- The relayed run is the session's certified run ---------------------
+  // VARIABLE-LENGTH slices (0..7 bytes, unique content per user) on the heap
+  // and on a file-backed arena: the delivered payloads equal, in order, the
+  // payload bytes of Session::Run()'s A_all inbox at the same graph,
+  // payloads, seed and rounds, at every pool width.
+  {
+    Expected<std::shared_ptr<StorageBackend>> backend =
+        StorageBackend::Create(StorageBackendConfig{});
+    CHECK(backend.ok());
+    PayloadArena heap;
+    Expected<PayloadArena> hosted = PayloadArena::Hosted(backend.value());
+    CHECK(hosted.ok());
     for (NodeId u = 0; u < n; ++u) {
       Bytes b;
       for (size_t i = 0; i < u % 8; ++i) {
         b.push_back(static_cast<uint8_t>((u * 37 + i * 11) & 0xff));
       }
-      slices.push_back(b);
-      arena.Append(u, b);
+      heap.Append(u, b);
+      hosted.value().Append(u, b);
     }
-    arena.Freeze();
-
-    const auto relayed = RunSecureRelaySession(g, &pki, arena, 12, 555);
-    CHECK(relayed.delivered_payloads.size() == n);
-    auto in_sorted = slices;
-    auto out_sorted = relayed.delivered_payloads;
-    std::sort(in_sorted.begin(), in_sorted.end());
-    std::sort(out_sorted.begin(), out_sorted.end());
-    CHECK(in_sorted == out_sorted);
+    const size_t rounds = 12;
+    const uint64_t seed = 555;
+    SessionConfig config;
+    config.SetGraph(Graph(g)).SetPayloads(heap).SetSeed(seed).SetRounds(
+        rounds);
+    Expected<Session> created = Session::Create(std::move(config));
+    CHECK(created.ok());
+    const ProtocolResult inbox = created.value().Run();
+    CHECK(inbox.server_inbox.size() == n);
+    for (size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
+      SetThreadCount(threads);
+      for (const PayloadArena* arena : {&heap, &hosted.value()}) {
+        const auto relayed =
+            RunSecureRelaySession(g, pki, *arena, rounds, seed);
+        CHECK(relayed.ok());
+        const std::vector<Bytes>& delivered =
+            relayed.value().delivered_payloads;
+        CHECK(delivered.size() == n);
+        for (size_t i = 0; i < n; ++i) {
+          CHECK(delivered[i] ==
+                inbox.payloads->payload(inbox.server_inbox[i].id).ToBytes());
+        }
+      }
+    }
+    SetThreadCount(0);
 
     // A ciphertext sealed under one PKI's server key does not open under an
     // independent PKI's — every slice (even the empty ones, whose tag-only
     // ciphertexts still authenticate the key) is REJECTED, not garbled.
-    Pki other(9001);
-    other.RegisterUsers(static_cast<uint32_t>(n));
-    other.RegisterServer();
+    const Pki other(9001, n);
     CHECK(other.ServerKey().bytes != pki.ServerKey().bytes);
     for (ReportId r = 0; r < static_cast<ReportId>(n); ++r) {
-      const Bytes slice = arena.payload(r).ToBytes();
+      const Bytes slice = heap.payload(r).ToBytes();
       const uint64_t nonce = 1000 + r;
       const Bytes c1 = AeadSeal(pki.ServerKey(), nonce, 0, slice);
       Bytes dec;
@@ -210,24 +244,27 @@ int main() {
     }
   }
 
-  // ---- Relay input validation (fatal, not silent corruption) --------------
+  // ---- Relay input errors are typed ---------------------------------------
   {
-    // Payload count != n.
-    ExpectDeath([&g, &pki] {
-      (void)RunSecureRelaySession(g, &pki, std::vector<Bytes>(3), 2, 1);
-    });
-    // Out-of-range origin in an arena.
-    ExpectDeath([&g, &pki] {
-      PayloadArena bad;
-      for (NodeId u = 0; u + 1 < n; ++u) bad.Append(u, Bytes{1});
-      bad.Append(static_cast<NodeId>(n + 5), Bytes{1});
-      (void)RunSecureRelaySession(g, &pki, bad, 2, 1);
-    });
-    // Unregistered PKI.
-    ExpectDeath([&g] {
-      Pki empty(1);
-      (void)RunSecureRelaySession(g, &empty, std::vector<Bytes>(n), 2, 1);
-    });
+    // A short arena.
+    PayloadArena short_arena;
+    for (NodeId u = 0; u + 1 < n; ++u) short_arena.Append(u, Bytes{1});
+    CHECK(RunSecureRelaySession(g, pki, short_arena, 2, 1).status().code() ==
+          StatusCode::kPayloadMismatch);
+    // An origin outside the population.
+    PayloadArena out_of_range = short_arena;
+    out_of_range.Append(static_cast<NodeId>(n + 5), Bytes{1});
+    CHECK(RunSecureRelaySession(g, pki, out_of_range, 2, 1).status().code() ==
+          StatusCode::kPayloadMismatch);
+    // A duplicated origin: user 4 reports twice, user 5 never.
+    PayloadArena duplicate;
+    for (NodeId u = 0; u < n; ++u) duplicate.Append(u == 5 ? 4 : u, Bytes{1});
+    CHECK(RunSecureRelaySession(g, pki, duplicate, 2, 1).status().code() ==
+          StatusCode::kPayloadMismatch);
+    // A PKI with keys for fewer users than the graph has.
+    const Pki small(7, n - 1);
+    CHECK(RunSecureRelaySession(g, small, fixed, 2, 1).status().code() ==
+          StatusCode::kInvalidArgument);
   }
   return 0;
 }

@@ -5,9 +5,6 @@
 
 #include "core/session.h"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <string>
@@ -169,20 +166,13 @@ int main() {
     ExchangeOptions one;
     CHECK(ValidateExchangeOptions(one).ok());
 
-    // The engine aborts rather than silently returning unshuffled holdings;
-    // run the violation in a forked child and expect an abnormal exit.
-    const pid_t pid = fork();
-    CHECK(pid >= 0);
-    if (pid == 0) {
+    // The engine aborts rather than silently returning unshuffled holdings.
+    netshuffle_test::ExpectDeath([] {
       Graph g = SmallExpander(100, 4);
       ExchangeOptions opts;
       opts.rounds = 0;
-      (void)RunExchange(g, opts);  // must abort
-      _exit(0);                    // reaching here fails the parent's check
-    }
-    int wstatus = 0;
-    CHECK(waitpid(pid, &wstatus, 0) == pid);
-    CHECK(!(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0));
+      (void)RunExchange(g, opts);
+    });
   }
 
   // ---- Capped guarantee never exceeds the (eps0, 0) floor (satellite) -----

@@ -1,8 +1,8 @@
 // Incremental-execution acceptance: splitting a Session run into Step()
 // chunks — with mid-run Finalize calls in between — is bit-identical to the
-// equivalent one-shot engine run, for both reporting protocols, with
-// metrics, and at 1 vs 4 threads (the engine keys every coin on the
-// absolute round index; see shuffle/engine.h ResumeExchange).
+// equivalent one-shot engine run, for both reporting protocols, at 1 vs 4
+// threads (the engine keys every coin on the absolute round index; see
+// shuffle/engine.h ResumeExchange).
 // Also pins the ExchangeWorkspace reuse contract: steady-state Step(1)
 // calls allocate nothing (counted via a global operator new override).
 
@@ -61,16 +61,6 @@ Graph TestGraph() {
   return MakeRandomRegular(kUsers, 8, &rng);
 }
 
-struct MetricsSnapshot {
-  uint64_t max_traffic;
-  double mean_traffic;
-  size_t max_memory;
-};
-
-MetricsSnapshot Snapshot(const ShuffleMetrics& m) {
-  return {m.max_user_traffic(), m.mean_user_traffic(), m.max_user_memory()};
-}
-
 void CheckSameInbox(const ProtocolResult& a, const ProtocolResult& b) {
   CHECK(a.rounds == b.rounds);
   CHECK(a.dummy_reports == b.dummy_reports);
@@ -87,14 +77,12 @@ void CheckSameInbox(const ProtocolResult& a, const ProtocolResult& b) {
   }
 }
 
-Session MakeSession(const Graph& g, ReportingProtocol protocol,
-                    ShuffleMetrics* metrics) {
+Session MakeSession(const Graph& g, ReportingProtocol protocol) {
   SessionConfig config;
   config.SetGraph(Graph(g))
       .SetProtocol(protocol)
       .SetRounds(kRounds)
-      .SetSeed(kSeed)
-      .SetMetrics(metrics);
+      .SetSeed(kSeed);
   Expected<Session> created = Session::Create(std::move(config));
   CHECK(created.ok());
   return std::move(created).value();
@@ -103,28 +91,19 @@ Session MakeSession(const Graph& g, ReportingProtocol protocol,
 void CheckIncrementalEqualsOneShot(const Graph& g,
                                    ReportingProtocol protocol) {
   // Ground truth: the one-shot engine run the deprecated facade performed.
-  ShuffleMetrics oneshot_metrics(kUsers);
   ExchangeOptions opts;
   opts.rounds = kRounds;
   opts.seed = kSeed;
-  opts.metrics = &oneshot_metrics;
   const ProtocolResult oneshot =
       FinalizeProtocol(RunExchange(g, opts), protocol, opts.seed);
-  const MetricsSnapshot oneshot_m = Snapshot(oneshot_metrics);
 
   // Session::Run (step-to-target + finalize).
-  ShuffleMetrics run_metrics(kUsers);
-  Session whole = MakeSession(g, protocol, &run_metrics);
+  Session whole = MakeSession(g, protocol);
   CheckSameInbox(whole.Run(), oneshot);
-  const MetricsSnapshot run_m = Snapshot(run_metrics);
-  CHECK(run_m.max_traffic == oneshot_m.max_traffic);
-  CHECK_NEAR(run_m.mean_traffic, oneshot_m.mean_traffic, 0.0);
-  CHECK(run_m.max_memory == oneshot_m.max_memory);
 
   // Uneven Step() chunks with a mid-run Finalize (which must not disturb
   // the stream) — still bit-identical.
-  ShuffleMetrics step_metrics(kUsers);
-  Session chunked = MakeSession(g, protocol, &step_metrics);
+  Session chunked = MakeSession(g, protocol);
   CHECK(chunked.Step(1).ok());
   CHECK(chunked.Step(4).ok());
   const ProtocolResult midrun = chunked.Finalize();
@@ -132,14 +111,10 @@ void CheckIncrementalEqualsOneShot(const Graph& g,
   CHECK(chunked.Step(10).ok());
   CHECK(chunked.current_round() == kRounds);
   CheckSameInbox(chunked.Finalize(), oneshot);
-  const MetricsSnapshot step_m = Snapshot(step_metrics);
-  CHECK(step_m.max_traffic == oneshot_m.max_traffic);
-  CHECK_NEAR(step_m.mean_traffic, oneshot_m.mean_traffic, 0.0);
-  CHECK(step_m.max_memory == oneshot_m.max_memory);
 
   // One round at a time, checking the incremental accounting curve against
   // the closed form the facade reported at every prefix.
-  Session single_steps = MakeSession(g, protocol, nullptr);
+  Session single_steps = MakeSession(g, protocol);
   const StationaryMoments pi = ComputeStationaryMoments(g);
   for (size_t t = 1; t <= kRounds; ++t) {
     CHECK(single_steps.Step(1).ok());
@@ -211,7 +186,7 @@ int main() {
     CheckIncrementalEqualsOneShot(g, ReportingProtocol::kAll);
     CheckIncrementalEqualsOneShot(g, ReportingProtocol::kSingle);
 
-    Session s = MakeSession(g, ReportingProtocol::kAll, nullptr);
+    Session s = MakeSession(g, ReportingProtocol::kAll);
     CHECK(s.Step(kRounds).ok());
     per_thread_results.push_back(s.Finalize());
   }

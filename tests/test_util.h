@@ -6,6 +6,7 @@
 #ifndef NETSHUFFLE_TESTS_TEST_UTIL_H_
 #define NETSHUFFLE_TESTS_TEST_UTIL_H_
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -35,20 +36,24 @@
 
 namespace netshuffle_test {
 
-/// Runs `violation` in a forked child and expects an abnormal exit (the
-/// NETSHUFFLE_FATAL abort path).  Reaching the end of the lambda exits 0,
-/// which fails the parent's check.
+/// Runs `violation` in a forked child and expects the NETSHUFFLE_FATAL
+/// abort path: the child must die by SIGABRT (core/status.h ends in
+/// std::abort).  Any exit, and any other signal (a segfault included),
+/// fails the check.  The child arms a 60 s alarm, so a violation that hangs
+/// (say, one that reaches the thread pool, whose workers a fork does not
+/// copy) dies by SIGALRM and fails instead of stalling the suite.
 template <typename Fn>
 void ExpectDeath(Fn violation) {
   const pid_t pid = fork();
   CHECK(pid >= 0);
   if (pid == 0) {
+    alarm(60);
     violation();
     _exit(0);  // reaching here fails the parent's check
   }
   int wstatus = 0;
   CHECK(waitpid(pid, &wstatus, 0) == pid);
-  CHECK(!(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0));
+  CHECK(WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGABRT);
 }
 
 }  // namespace netshuffle_test
