@@ -8,12 +8,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "data/datasets.h"
 #include "graph/io.h"
+#include "graph/spectral.h"
 #include "graph/walk.h"
 #include "util/parallel.h"
 
@@ -244,6 +246,24 @@ class BenchRunner {
   };
   std::vector<LatencyRow> latencies_;
 };
+
+/// The graph's spectral gap for harnesses that derive rounds from it, or
+/// nullopt when the estimate has not converged: a harness never prints
+/// numbers off an unverified gap, so it notes the failure on stderr, marks
+/// `bench` failed and should return non-zero (Session::Create fails closed
+/// the same way, with kSpectralGapUnresolved).
+inline std::optional<double> ConvergedGap(const Graph& g, BenchRunner* bench) {
+  const SpectralGapEstimate estimate = EstimateSpectralGap(g);
+  if (!estimate.converged) {
+    std::fprintf(stderr,
+                 "spectral-gap estimate did not converge in %zu Lanczos "
+                 "steps (residual %.2e)\n",
+                 estimate.iterations, estimate.residual);
+    bench->MarkFailed();
+    return std::nullopt;
+  }
+  return estimate.gap;
+}
 
 /// Tail extraction for serving benches: sorts in place and reads the
 /// nearest-rank quantile (q in [0, 1]); 0 on an empty sample.

@@ -5,6 +5,7 @@
 // near-stationary operating point and the resulting central epsilon.
 
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "core/session.h"
@@ -12,7 +13,6 @@
 #include "experiment_common.h"
 #include "graph/dynamic.h"
 #include "graph/generators.h"
-#include "graph/spectral.h"
 #include "graph/walk.h"
 #include "util/table.h"
 
@@ -24,8 +24,9 @@ int main() {
   const double eps0 = 0.5;
   Rng rng(2022);
   Graph base = MakeRandomRegular(n, k, &rng);
-  const double gap = EstimateSpectralGap(base).gap;
-  const size_t t_mix = MixingTime(gap, n);
+  const std::optional<double> gap = ConvergedGap(base, &bench);
+  if (!gap) return 1;
+  const size_t t_mix = MixingTime(*gap, n);
   const double threshold = 1.05 / static_cast<double>(n);
 
   std::printf(

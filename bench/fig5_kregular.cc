@@ -7,12 +7,12 @@
 // behavior, in contrast to the monotone Figure-4 upper bound.
 
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "dp/amplification.h"
 #include "experiment_common.h"
 #include "graph/generators.h"
-#include "graph/spectral.h"
 #include "graph/walk.h"
 #include "util/table.h"
 
@@ -37,9 +37,10 @@ int main() {
     graphs.push_back(MakeRandomRegular(n, k, &rng));
   }
   for (auto& g : graphs) {
-    const double gap = EstimateSpectralGap(g).gap;
+    const std::optional<double> gap = ConvergedGap(g, &bench);
+    if (!gap) return 1;
     std::printf("k=%-3zu alpha=%.4f  t_mix=%zu\n",
-                g.degree(0), gap, MixingTime(gap, n));
+                g.degree(0), *gap, MixingTime(*gap, n));
     dists.emplace_back(&g, static_cast<NodeId>(0));
   }
   std::printf("\n");

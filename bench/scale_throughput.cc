@@ -35,10 +35,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 
 #include "experiment_common.h"
 #include "graph/generators.h"
-#include "graph/spectral.h"
 #include "shuffle/backend.h"
 #include "shuffle/engine.h"
 #include "util/rng.h"
@@ -324,8 +324,9 @@ int main() {
       Rng rng(2022 + static_cast<uint64_t>(kind));
       Graph g = kind == 0 ? MakeRandomRegular(n, 20, &rng)
                           : MakeBarabasiAlbert(n, 10, &rng);
-      const double gap = EstimateSpectralGap(g).gap;
-      const size_t rounds = MixingTime(gap, n);
+      const std::optional<double> gap = ConvergedGap(g, &bench);
+      if (!gap) return 1;
+      const size_t rounds = MixingTime(*gap, n);
 
       ExchangeOptions opts;
       opts.rounds = rounds;

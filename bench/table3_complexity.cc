@@ -8,12 +8,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <optional>
 
 #include "baselines/mixnet.h"
 #include "baselines/prochlo.h"
 #include "experiment_common.h"
 #include "graph/generators.h"
-#include "graph/spectral.h"
 #include "shuffle/engine.h"
 #include "util/table.h"
 
@@ -45,8 +45,9 @@ int main() {
     // Network shuffling at mixing time.
     Rng rng(7);
     Graph g = MakeRandomRegular(n, 8, &rng);
-    const double gap = EstimateSpectralGap(g).gap;
-    const size_t rounds = MixingTime(gap, n);
+    const std::optional<double> gap = ConvergedGap(g, &bench);
+    if (!gap) return 1;
+    const size_t rounds = MixingTime(*gap, n);
     ShuffleMetrics nm(n);
     ExchangeOptions opts;
     opts.rounds = rounds;

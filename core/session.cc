@@ -259,12 +259,6 @@ ProtocolResult Session::Finalize(ReportingProtocol protocol) const {
   return FinalizeProtocol(state_, protocol, epoch_seed_);
 }
 
-ProtocolResult Session::Run() {
-  const Status s = StepToTarget();
-  if (!s.ok()) NETSHUFFLE_FATAL("Session::Run: " + s.ToString());
-  return Finalize();
-}
-
 Status Session::Ingest(NodeId origin, const uint8_t* data, size_t size) {
   // Bounds-checks against the cached immutable population (num_users_), not
   // the structure-guarded graph_: Rewire only admits same-node-count graphs,

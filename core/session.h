@@ -11,7 +11,7 @@
 // A Session executes INCREMENTALLY: Step(k) advances k exchange rounds,
 // Guarantee() queries the certified central (eps, delta) at the current
 // round, Finalize() produces the curator inbox at any point.  Splitting a
-// run into steps is bit-identical to the one-shot Run() at any thread count,
+// run into steps is bit-identical to one StepToTarget() at any thread count,
 // because every report's coin is drawn from a per-(seed, absolute round,
 // report) stream (shuffle/engine.h) — pinned by
 // tests/test_session_incremental.cc.  That enables mid-run accounting
@@ -263,7 +263,7 @@ class Session {
   //
   //   mutator-only (external synchronization, enforced best-effort by the
   //   fatal ns::Role capability Sync::mutator):  Step / StepToTarget /
-  //   StepUntil / Run / BeginEpoch / Rewire / Finalize / FinalizeEpoch.
+  //   StepUntil / BeginEpoch / Rewire / Finalize / FinalizeEpoch.
   //   The exchange state (state_, exchange_ws_) is NS_GUARDED_BY the role.
   //
   //   reader-safe, concurrent with Step AND with BeginEpoch/Rewire:
@@ -406,9 +406,6 @@ class Session {
   ProtocolResult FinalizeEpoch(ReportingProtocol protocol) const {
     return Finalize(protocol);
   }
-
-  /// One-shot convenience: StepToTarget + Finalize.
-  ProtocolResult Run();
 
   /// Replaces the communication graph between steps (dynamic networks,
   /// paper Section 4.5).  The replacement must pass the same validation,

@@ -1,7 +1,7 @@
 // Private frequency estimation (histogram release) over network shuffling:
-// k-RR randomization into 4-byte bucket payloads, index-routed exchange,
-// curator-side counting straight from the PayloadArena slices, and k-RR
-// debiasing — the second end-to-end estimation scenario next to the
+// k-RR randomization into 4-byte bucket payloads, one epoch of the caller's
+// Session, curator-side counting straight from the PayloadArena slices, and
+// k-RR debiasing — the second end-to-end estimation scenario next to the
 // Figure-9 mean workload (ROADMAP: scenario diversity).
 
 #ifndef NETSHUFFLE_ESTIMATION_FREQUENCY_ESTIMATION_H_
@@ -11,24 +11,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "dp/ldp.h"
-#include "graph/graph.h"
-#include "shuffle/protocol.h"
-#include "util/rng.h"
+#include "core/session.h"
+#include "core/status.h"
 
 namespace netshuffle {
 
 struct FrequencyEstimationConfig {
   size_t categories = 16;
-  double epsilon0 = 1.0;
-  /// Exchange rounds; 0 resolves to the graph's mixing time (callers with a
-  /// Session in hand should pass its target_rounds() to keep the accounting
-  /// and the run at the same operating point).
-  size_t rounds = 0;
-  ReportingProtocol protocol = ReportingProtocol::kAll;
   /// Zipf-ish skew of the true category distribution (weight of category c
   /// is proportional to 1 / (c + 1)^skew).
   double skew = 1.0;
+  /// Drives the users' categories and their local k-RR coins (and, under
+  /// kSingle, the curator-side dummies); the exchange coins are the
+  /// session's.
   uint64_t seed = 1;
 };
 
@@ -42,26 +37,23 @@ struct FrequencyEstimationResult {
   size_t genuine_reports = 0;
   size_t dummy_reports = 0;
   size_t dropped_reports = 0;
+  /// session.Guarantee() after the estimator's epoch: the certificate of
+  /// the run that produced the estimate.
+  PrivacyParams guarantee;
 };
 
-/// Samples a skewed category per user, k-RR randomizes it into a 4-byte
-/// bucket payload, runs the index-routed exchange, and debiases the
-/// curator-side bucket counts.  Under kSingle, dummy submitters draw a
-/// uniform category and k-RR it (indistinguishable), and dropped surplus
+/// Samples a skewed category per user, k-RR randomizes it at
+/// session.epsilon0() into a 4-byte bucket payload in the session's pending
+/// arena, runs exactly one epoch of `session` to target_rounds(), counts
+/// the buckets of FinalizeEpoch()'s delivered ids (out-of-range buckets are
+/// ignored) and debiases the counts.  Under kSingle, dummy submitters draw
+/// a uniform category and k-RR it (indistinguishable), and dropped surplus
 /// reports are simply absent — both bias the estimate, the same utility
-/// cost Figure 9 measures for the mean workload.
-FrequencyEstimationResult RunFrequencyEstimation(
-    const Graph& g, const FrequencyEstimationConfig& config);
-
-/// Curator-side aggregation shared by RunFrequencyEstimation and the
-/// Session-level harness (bench/extension_frequency.cc): counts buckets
-/// straight from the arena slices of the delivered ids (out-of-range
-/// buckets are ignored), injects indistinguishable uniform-category k-RR
-/// dummies under kSingle (drawing from `rng`), and returns the debiased
-/// proportion estimates.
-std::vector<double> AggregateFrequency(const ProtocolResult& pr,
-                                       const KRandomizedResponse& rr,
-                                       ReportingProtocol protocol, Rng* rng);
+/// cost Figure 9 measures for the mean workload.  Zero categories is
+/// kInvalidArgument; pending reports and seal failures as for
+/// RunMeanEstimation (estimation/mean_estimation.h).
+Expected<FrequencyEstimationResult> RunFrequencyEstimation(
+    Session& session, const FrequencyEstimationConfig& config);
 
 }  // namespace netshuffle
 

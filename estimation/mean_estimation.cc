@@ -1,13 +1,9 @@
 #include "estimation/mean_estimation.h"
 
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "dp/privunit.h"
-#include "graph/spectral.h"
-#include "graph/walk.h"
-#include "shuffle/engine.h"
 #include "shuffle/payload.h"
 #include "util/rng.h"
 
@@ -26,24 +22,20 @@ std::vector<double> NormalizedGaussian(size_t dim, double mean, Rng* rng) {
   return v;
 }
 
-struct Workload {
-  PayloadArena arena;  // per-user PrivUnit output as 8d-byte vector payloads
-  std::vector<double> true_mean;
-};
-
-Workload MakeWorkload(size_t n, const MeanEstimationConfig& config, Rng* rng) {
-  Workload w;
-  w.true_mean.assign(config.dim, 0.0);
-  PrivUnit pu(config.dim, config.epsilon0);
-  w.arena.Reserve(n, n * pu.payload_size());
+/// Emits every user's PrivUnit output as an 8d-byte vector payload into
+/// `arena` and returns the true mean.
+std::vector<double> EmitWorkload(size_t n, size_t dim, const PrivUnit& pu,
+                                 Rng* rng, PayloadArena* arena) {
+  std::vector<double> true_mean(dim, 0.0);
+  arena->Reserve(n, n * pu.payload_size());
   for (size_t u = 0; u < n; ++u) {
     const double mu = u < n / 2 ? 1.0 : 10.0;
-    const auto truth = NormalizedGaussian(config.dim, mu, rng);
-    for (size_t i = 0; i < config.dim; ++i) w.true_mean[i] += truth[i];
-    pu.EmitReport(static_cast<NodeId>(u), truth, rng, &w.arena);
+    const auto truth = NormalizedGaussian(dim, mu, rng);
+    for (size_t i = 0; i < dim; ++i) true_mean[i] += truth[i];
+    pu.EmitReport(static_cast<NodeId>(u), truth, rng, arena);
   }
-  for (double& x : w.true_mean) x /= static_cast<double>(n);
-  return w;
+  for (double& x : true_mean) x /= static_cast<double>(n);
+  return true_mean;
 }
 
 double SquaredError(const std::vector<double>& est,
@@ -58,27 +50,28 @@ double SquaredError(const std::vector<double>& est,
 
 }  // namespace
 
-MeanEstimationResult RunMeanEstimation(const Graph& g,
-                                       const MeanEstimationConfig& config) {
-  const size_t n = g.num_nodes();
+Expected<MeanEstimationResult> RunMeanEstimation(
+    Session& session, const MeanEstimationConfig& config) {
+  if (session.pending_reports() > 0) {
+    return Status::Error(StatusCode::kInvalidArgument,
+                         "RunMeanEstimation: the session's pending reports "
+                         "would join the estimator's epoch");
+  }
   Rng rng(config.seed);
-  Workload w = MakeWorkload(n, config, &rng);
-
-  ExchangeOptions opts;
-  // rounds == 0 resolves to the mixing time (the session-level convention);
-  // the engine itself rejects zero-round exchanges.
-  opts.rounds = config.rounds > 0
-                    ? config.rounds
-                    : MixingTime(EstimateSpectralGap(g).gap, n);
-  opts.seed = config.seed ^ 0xfeedULL;
-  ExchangeResult ex =
-      ResumeExchange(g, StartExchange(g, std::move(w.arena)), opts);
-  ProtocolResult pr = FinalizeProtocol(ex, config.protocol, opts.seed);
+  const PrivUnit pu(config.dim, session.epsilon0());
+  const std::vector<double> true_mean = EmitWorkload(
+      session.num_users(), config.dim, pu, &rng, session.pending_arena());
+  Status status = session.BeginEpoch();
+  if (!status.ok()) return status;
+  status = session.StepToTarget();
+  if (!status.ok()) return status;
+  const ProtocolResult pr = session.FinalizeEpoch();
 
   MeanEstimationResult result;
   result.genuine_reports = pr.server_inbox.size();
   result.dummy_reports = pr.dummy_reports;
   result.dropped_reports = pr.dropped_reports;
+  result.guarantee = session.Guarantee();
 
   // Curator-side aggregation straight from the arena slices the delivered
   // ids index into.
@@ -89,11 +82,10 @@ MeanEstimationResult RunMeanEstimation(const Graph& g,
     for (size_t i = 0; i < config.dim; ++i) est[i] += v[i];
     ++contributions;
   }
-  if (config.protocol == ReportingProtocol::kSingle) {
+  if (session.protocol() == ReportingProtocol::kSingle) {
     // Indistinguishable dummies: a dummy submitter knows nothing about the
     // data distribution, so it PrivUnit-randomizes a uniformly random
     // direction — same ciphertext norm as every genuine report.
-    PrivUnit pu(config.dim, config.epsilon0);
     for (size_t d = 0; d < pr.dummy_reports; ++d) {
       const auto dummy = pu.Randomize(
           NormalizedGaussian(config.dim, 0.0, &rng), &rng);
@@ -104,24 +96,26 @@ MeanEstimationResult RunMeanEstimation(const Graph& g,
   if (contributions > 0) {
     for (double& x : est) x /= static_cast<double>(contributions);
   }
-  result.squared_error = SquaredError(est, w.true_mean);
+  result.squared_error = SquaredError(est, true_mean);
   return result;
 }
 
 MeanEstimationResult RunMeanEstimationUniformShuffle(
-    size_t n, const MeanEstimationConfig& config) {
+    size_t n, double epsilon0, const MeanEstimationConfig& config) {
   Rng rng(config.seed);
-  Workload w = MakeWorkload(n, config, &rng);
+  PayloadArena arena;
+  const std::vector<double> true_mean = EmitWorkload(
+      n, config.dim, PrivUnit(config.dim, epsilon0), &rng, &arena);
   std::vector<double> est(config.dim, 0.0);
   for (ReportId r = 0; r < static_cast<ReportId>(n); ++r) {
-    const std::vector<double> v = w.arena.VectorAt(r);
+    const std::vector<double> v = arena.VectorAt(r);
     for (size_t i = 0; i < config.dim; ++i) est[i] += v[i];
   }
   for (double& x : est) x /= static_cast<double>(n);
 
   MeanEstimationResult result;
   result.genuine_reports = n;
-  result.squared_error = SquaredError(est, w.true_mean);
+  result.squared_error = SquaredError(est, true_mean);
   return result;
 }
 

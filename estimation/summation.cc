@@ -1,10 +1,9 @@
 #include "estimation/summation.h"
 
 #include <cmath>
-#include <utility>
+#include <string>
 
 #include "dp/ldp.h"
-#include "shuffle/engine.h"
 #include "shuffle/payload.h"
 
 namespace netshuffle {
@@ -27,35 +26,48 @@ double SummationRmse(const std::vector<double>& values, double epsilon,
   return std::sqrt(sum_sq_err / static_cast<double>(trials));
 }
 
-NetworkSummationResult SummationOverNetwork(const Graph& g,
-                                            const std::vector<double>& values,
-                                            double lo, double hi,
-                                            double epsilon0, size_t rounds,
-                                            uint64_t seed) {
-  const size_t n = g.num_nodes();
+Expected<NetworkSummationResult> SummationOverNetwork(
+    Session& session, const std::vector<double>& values, double lo, double hi,
+    uint64_t seed) {
+  const size_t n = session.num_users();
+  if (session.pending_reports() > 0) {
+    return Status::Error(StatusCode::kInvalidArgument,
+                         "SummationOverNetwork: the session's pending reports "
+                         "would join the estimator's epoch");
+  }
+  if (session.protocol() != ReportingProtocol::kAll) {
+    return Status::Error(StatusCode::kInvalidArgument,
+                         "SummationOverNetwork: the sum is unbiased only if "
+                         "every report arrives, which needs a kAll session");
+  }
+  if (values.size() != n) {
+    return Status::Error(
+        StatusCode::kInvalidArgument,
+        "SummationOverNetwork: " + std::to_string(values.size()) +
+            " values for a " + std::to_string(n) + "-user session");
+  }
   Rng rng(seed);
-  LaplaceMechanism lap(lo, hi, epsilon0);
+  const LaplaceMechanism lap(lo, hi, session.epsilon0());
 
   NetworkSummationResult result;
-  PayloadArena arena;
-  arena.Reserve(n, n * lap.payload_size());
+  PayloadArena* arena = session.pending_arena();
+  arena->Reserve(n, n * lap.payload_size());
   for (size_t u = 0; u < n; ++u) {
     result.true_sum += values[u];
-    lap.EmitReport(static_cast<NodeId>(u), values[u], &rng, &arena);
+    lap.EmitReport(static_cast<NodeId>(u), values[u], &rng, arena);
   }
-
-  ExchangeOptions opts;
-  opts.rounds = rounds;
-  opts.seed = seed ^ 0x5a5aULL;
-  ExchangeResult ex =
-      ResumeExchange(g, StartExchange(g, std::move(arena)), opts);
-  ProtocolResult pr = FinalizeProtocol(ex, ReportingProtocol::kAll, opts.seed);
+  Status status = session.BeginEpoch();
+  if (!status.ok()) return status;
+  status = session.StepToTarget();
+  if (!status.ok()) return status;
+  const ProtocolResult pr = session.FinalizeEpoch();
 
   // Curator-side aggregation straight from the arena slices.
   for (const FinalReport& fr : pr.server_inbox) {
     result.estimate += pr.payloads->ScalarAt(fr.id);
   }
   result.delivered_reports = pr.server_inbox.size();
+  result.guarantee = session.Guarantee();
   return result;
 }
 

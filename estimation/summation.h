@@ -8,8 +8,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/session.h"
+#include "core/status.h"
 #include "dp/amplification.h"  // the inverse accountant pairs with this API
-#include "graph/graph.h"
 #include "util/rng.h"
 
 namespace netshuffle {
@@ -25,19 +26,23 @@ struct NetworkSummationResult {
   double estimate = 0.0;
   double true_sum = 0.0;
   size_t delivered_reports = 0;
+  /// session.Guarantee() after the estimator's epoch: the certificate of
+  /// the run that produced the estimate.
+  PrivacyParams guarantee;
 };
 
-/// End-to-end private summation over the index-routed exchange: each user's
-/// value in [lo, hi] is Laplace-randomized into an 8-byte scalar payload
-/// (dp/ldp.h LaplaceMechanism::EmitReport), walked `rounds` exchange rounds,
-/// and summed at the curator straight from the PayloadArena slices of the
-/// delivered report ids (kAll reporting: every report arrives, so the
-/// estimate is unbiased with variance n * 2 ((hi-lo)/eps0)^2).
-NetworkSummationResult SummationOverNetwork(const Graph& g,
-                                            const std::vector<double>& values,
-                                            double lo, double hi,
-                                            double epsilon0, size_t rounds,
-                                            uint64_t seed);
+/// End-to-end private summation over exactly one epoch of `session`: user
+/// u's value in [lo, hi] is Laplace-randomized at session.epsilon0() into
+/// an 8-byte scalar payload (local coins from `seed`), walked
+/// target_rounds() rounds, and summed at the curator straight from the
+/// arena slices of FinalizeEpoch()'s delivered ids.  The estimate is
+/// unbiased with variance n * 2 ((hi-lo)/eps0)^2 only if every report
+/// arrives, so a kSingle session is refused with kInvalidArgument, as is a
+/// `values` whose size is not num_users().  Pending reports and seal
+/// failures as for RunMeanEstimation (estimation/mean_estimation.h).
+Expected<NetworkSummationResult> SummationOverNetwork(
+    Session& session, const std::vector<double>& values, double lo, double hi,
+    uint64_t seed);
 
 }  // namespace netshuffle
 

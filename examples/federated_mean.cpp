@@ -1,14 +1,15 @@
 // Federated mean estimation (the paper's Figure-9 workload): users hold
 // d-dimensional unit vectors (e.g. model updates), randomize them with
 // PrivUnit, and deliver them via network shuffling.  Compares the A_all and
-// A_single protocols at equal local budget, with one validated Session per
-// protocol doing the accounting (PrivUnit plugs in as the session's
-// Mechanism).
+// A_single protocols at equal local budget: each estimate is one epoch of a
+// validated Session per protocol (PrivUnit plugs in as the session's
+// Mechanism), printed beside that session's certificate.
 //
 //   ./examples/federated_mean [epsilon0] [dim]
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "core/session.h"
 #include "dp/privunit.h"
@@ -30,42 +31,39 @@ int main(int argc, char** argv) {
   Graph graph = MakeRandomRegular(n, k, &rng);
   const PrivUnit mechanism(dim, epsilon0);
 
+  MeanEstimationConfig config;
+  config.dim = dim;
+  config.seed = 17;
   for (ReportingProtocol protocol :
        {ReportingProtocol::kAll, ReportingProtocol::kSingle}) {
-    SessionConfig acct_cfg;
-    acct_cfg.SetGraph(Graph(graph))
+    SessionConfig session_config;
+    session_config.SetGraph(Graph(graph))
         .SetProtocol(protocol)
         .SetMechanism(mechanism);
-    Expected<Session> created = Session::Create(std::move(acct_cfg));
+    Expected<Session> created = Session::Create(std::move(session_config));
     if (!created.ok()) {
       std::fprintf(stderr, "session rejected: %s\n",
                    created.status().ToString().c_str());
       return 1;
     }
-    Session session = std::move(created).value();
-
-    MeanEstimationConfig config;
-    config.dim = dim;
-    config.epsilon0 = epsilon0;
-    config.rounds = session.target_rounds();
-    config.protocol = protocol;
-    config.seed = 17;
-    const auto result = RunMeanEstimation(graph, config);
-
-    const PrivacyParams central = session.TargetGuarantee();
+    // One epoch of the session: the error and the certificate printed
+    // beside it come from the same run.
+    const auto result = RunMeanEstimation(created.value(), config);
+    if (!result.ok()) {
+      std::fprintf(stderr, "estimation failed: %s\n",
+                   result.status().ToString().c_str());
+      return 1;
+    }
+    const MeanEstimationResult& r = result.value();
     std::printf("%-8s  central eps=%.4f  l2^2 error=%.5f  genuine=%zu  "
                 "dummies=%zu  dropped=%zu\n",
                 protocol == ReportingProtocol::kAll ? "A_all" : "A_single",
-                central.epsilon, result.squared_error, result.genuine_reports,
-                result.dummy_reports, result.dropped_reports);
+                r.guarantee.epsilon, r.squared_error, r.genuine_reports,
+                r.dummy_reports, r.dropped_reports);
   }
 
   // Non-private and central-shuffler baselines for context.
-  MeanEstimationConfig base_cfg;
-  base_cfg.dim = dim;
-  base_cfg.epsilon0 = epsilon0;
-  base_cfg.seed = 17;
-  const auto uniform = RunMeanEstimationUniformShuffle(n, base_cfg);
+  const auto uniform = RunMeanEstimationUniformShuffle(n, epsilon0, config);
   std::printf("%-8s  (trusted shuffler)  l2^2 error=%.5f\n", "uniform",
               uniform.squared_error);
   return 0;

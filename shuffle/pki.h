@@ -62,8 +62,9 @@ struct SecureRelayResult {
 /// authenticated and stripped under its previous holder's key and
 /// re-wrapped under its new holder's; then every holder submits in A_all
 /// order and the server opens both layers.  Routes and delivery order are
-/// those of Session::Run() at the same graph, payloads, seed and rounds
-/// (rounds = 0 delivers every payload from its origin).
+/// those of a Session's StepToTarget() + Finalize() at the same graph,
+/// payloads, seed and rounds (rounds = 0 delivers every payload from its
+/// origin).
 ///
 /// kInvalidArgument if `pki` has keys for fewer than g.num_nodes() users;
 /// otherwise the injection's errors (engine.h SealAndInject): a short

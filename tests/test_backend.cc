@@ -13,7 +13,8 @@
 //   - a failed payload write (a file-size limit standing in for a full
 //     disk) is a sticky, typed kIoError at BeginEpoch, not an abort: the
 //     epoch does not roll, the current one keeps stepping and finalizing,
-//     and DiscardPending recovers,
+//     and DiscardPending recovers; an estimator's epoch returns the same
+//     kIoError,
 //   - an exchange round never touches disk: under a file-size limit far
 //     below the routing columns' size, a kMmap session still steps and
 //     finalizes, and its tmpdir holds only the payload_* stream files,
@@ -35,6 +36,7 @@
 
 #include "core/session.h"
 #include "core/status.h"
+#include "estimation/mean_estimation.h"
 #include "graph/generators.h"
 #include "shuffle/backend.h"
 #include "shuffle/payload.h"
@@ -206,14 +208,26 @@ int main() {
     CHECK(session.BeginEpoch().code() == StatusCode::kIoError);
     CHECK(session.epoch() == 0);
 
+    // An estimator's epoch meets the same seal failure as a typed status
+    // (128-byte PrivUnit payloads at dim 16), and leaves recovery to the
+    // caller: the epoch does not roll.
+    MeanEstimationConfig mean;
+    mean.dim = 16;
+    session.DiscardPending();
+    CHECK(RunMeanEstimation(session, mean).status().code() ==
+          StatusCode::kIoError);
+    CHECK(session.epoch() == 0);
+
     CHECK(::setrlimit(RLIMIT_FSIZE, &saved) == 0);
     std::signal(SIGXFSZ, prev_handler);
     session.DiscardPending();
+    CHECK(RunMeanEstimation(session, mean).ok());
+    CHECK(session.epoch() == 1);
     for (NodeId u = 0; u < n; ++u) {
       CHECK(session.Ingest(u, payload.data(), payload.size()).ok());
     }
     CHECK(session.BeginEpoch().ok());
-    CHECK(session.epoch() == 1);
+    CHECK(session.epoch() == 2);
     CHECK(session.current_round() == 0);
     CHECK(session.Step(1).ok());
     CHECK(session.payloads().total_payload_bytes() == n * payload.size());

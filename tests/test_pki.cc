@@ -184,8 +184,8 @@ int main() {
   // ---- The relayed run is the session's certified run ---------------------
   // VARIABLE-LENGTH slices (0..7 bytes, unique content per user) on the heap
   // and on a file-backed arena: the delivered payloads equal, in order, the
-  // payload bytes of Session::Run()'s A_all inbox at the same graph,
-  // payloads, seed and rounds, at every pool width.
+  // payload bytes of a Session's A_all inbox after StepToTarget() at the
+  // same graph, payloads, seed and rounds, at every pool width.
   {
     Expected<std::shared_ptr<StorageBackend>> backend =
         StorageBackend::Create(StorageBackendConfig{});
@@ -208,7 +208,8 @@ int main() {
         rounds);
     Expected<Session> created = Session::Create(std::move(config));
     CHECK(created.ok());
-    const ProtocolResult inbox = created.value().Run();
+    CHECK(created.value().StepToTarget().ok());
+    const ProtocolResult inbox = created.value().Finalize();
     CHECK(inbox.server_inbox.size() == n);
     for (size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
       SetThreadCount(threads);

@@ -1,17 +1,21 @@
-// End-to-end pipeline coverage through the Session API (formerly the
-// deprecated NetworkShuffler shim's test — the shim is gone; Session is the
-// one entry point): quickstart acceptance numbers, config knobs, the
-// estimation workloads aggregating from curator-side PayloadArena slices,
-// and the local-vs-central summation gap.
+// End-to-end pipeline coverage through the Session API: quickstart
+// acceptance numbers, config knobs, the estimation workloads (each one epoch
+// of the caller's session, aggregating from curator-side PayloadArena
+// slices, and refusing what would make the estimated run differ from the
+// certified one), and the local-vs-central summation gap.
 
 #include <cmath>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "core/session.h"
+#include "dp/ldp.h"
 #include "estimation/frequency_estimation.h"
 #include "estimation/mean_estimation.h"
 #include "estimation/summation.h"
 #include "graph/generators.h"
+#include "shuffle/backend.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -19,10 +23,13 @@ using namespace netshuffle;
 
 namespace {
 
-Session MakeSession(Graph g, ReportingProtocol protocol,
-                    size_t rounds = 0) {
+Session MakeSession(Graph g, ReportingProtocol protocol, size_t rounds = 0,
+                    double epsilon0 = 1.0) {
   SessionConfig config;
-  config.SetGraph(std::move(g)).SetProtocol(protocol).SetRounds(rounds);
+  config.SetGraph(std::move(g))
+      .SetProtocol(protocol)
+      .SetRounds(rounds)
+      .SetEpsilon0(epsilon0);
   Expected<Session> created = Session::Create(std::move(config));
   CHECK(created.ok());
   return std::move(created).value();
@@ -55,7 +62,8 @@ int main() {
     CHECK_NEAR(session.RawGuaranteeAt(session.target_rounds(), 1.0).epsilon,
                central.epsilon, 1e-12);
 
-    const ProtocolResult run = session.Run();
+    CHECK(session.StepToTarget().ok());
+    const ProtocolResult run = session.Finalize();
     CHECK(run.server_inbox.size() == 1000);
     CHECK(run.payloads != nullptr);  // arena rides along to the curator
   }
@@ -74,51 +82,72 @@ int main() {
   }
 
   // Mean estimation: the network protocols lose utility relative to the
-  // trusted shuffler, and A_all beats A_single (dummies + drops).
+  // trusted shuffler, and A_all beats A_single (dummies + drops).  A kMmap
+  // session estimates bit-identically to the heap one.
   {
     Rng rng(5);
     Graph g = MakeRandomRegular(1500, 8, &rng);
-    Session acct = MakeSession(Graph(g), ReportingProtocol::kAll);
+    Session all_session =
+        MakeSession(Graph(g), ReportingProtocol::kAll, 0, 2.0);
+    Session single_session =
+        MakeSession(Graph(g), ReportingProtocol::kSingle, 0, 2.0);
     MeanEstimationConfig cfg;
     cfg.dim = 32;
-    cfg.epsilon0 = 2.0;
-    cfg.rounds = acct.target_rounds();
     cfg.seed = 17;
-    cfg.protocol = ReportingProtocol::kAll;
-    const auto all = RunMeanEstimation(g, cfg);
-    cfg.protocol = ReportingProtocol::kSingle;
-    const auto single = RunMeanEstimation(g, cfg);
-    const auto uniform = RunMeanEstimationUniformShuffle(1500, cfg);
+    const auto all = RunMeanEstimation(all_session, cfg);
+    const auto single = RunMeanEstimation(single_session, cfg);
+    CHECK(all.ok() && single.ok());
+    const auto uniform = RunMeanEstimationUniformShuffle(1500, 2.0, cfg);
 
-    // The config's rounds default (0) resolves to the mixing time instead
-    // of tripping the engine's zero-round rejection.
-    MeanEstimationConfig defaults;
-    defaults.dim = 8;
-    defaults.epsilon0 = 2.0;
-    defaults.seed = 17;
-    CHECK(std::isfinite(RunMeanEstimation(g, defaults).squared_error));
+    CHECK(all.value().genuine_reports == 1500);
+    CHECK(all.value().dropped_reports == 0);
+    CHECK(single.value().genuine_reports + single.value().dummy_reports ==
+          1500);
+    CHECK(single.value().dropped_reports > 0);
+    CHECK(std::isfinite(all.value().squared_error));
+    CHECK(all.value().squared_error < single.value().squared_error);
+    CHECK(uniform.squared_error < single.value().squared_error);
 
-    CHECK(all.genuine_reports == 1500);
-    CHECK(all.dropped_reports == 0);
-    CHECK(single.genuine_reports + single.dummy_reports == 1500);
-    CHECK(single.dropped_reports > 0);
-    CHECK(std::isfinite(all.squared_error));
-    CHECK(all.squared_error < single.squared_error);
-    CHECK(uniform.squared_error < single.squared_error);
+    SessionConfig mmap_config;
+    StorageBackendConfig storage;
+    storage.kind = StorageBackendKind::kMmap;
+    mmap_config.SetGraph(Graph(g)).SetEpsilon0(2.0).SetStorage(storage);
+    Expected<Session> mmap = Session::Create(std::move(mmap_config));
+    CHECK(mmap.ok());
+    const auto hosted = RunMeanEstimation(mmap.value(), cfg);
+    CHECK(hosted.ok());
+    CHECK(hosted.value().squared_error == all.value().squared_error);
   }
 
   // Frequency estimation (k-RR bucket payloads): kAll recovers the skewed
-  // distribution within a sane L1 budget, and the delivered count accounting
-  // matches the protocol semantics.
+  // distribution within a sane L1 budget, the delivered count accounting
+  // matches the protocol semantics, and the estimated run is the certified
+  // run: one epoch to target_rounds(), the session's own guarantee, and an
+  // estimate the session's inbox reproduces.
   {
     Rng rng(7);
     Graph g = MakeRandomRegular(2000, 8, &rng);
+    Session session = MakeSession(Graph(g), ReportingProtocol::kAll, 0, 3.0);
     FrequencyEstimationConfig cfg;
     cfg.categories = 8;
-    cfg.epsilon0 = 3.0;
     cfg.seed = 23;
-    cfg.protocol = ReportingProtocol::kAll;
-    const auto all = RunFrequencyEstimation(g, cfg);
+    const size_t epoch = session.epoch();
+    const auto estimated = RunFrequencyEstimation(session, cfg);
+    CHECK(estimated.ok());
+    const FrequencyEstimationResult& all = estimated.value();
+    CHECK(session.epoch() == epoch + 1);
+    CHECK(session.current_round() == session.target_rounds());
+    const PrivacyParams certified = session.Guarantee();
+    CHECK(all.guarantee.epsilon == certified.epsilon);
+    CHECK(all.guarantee.delta == certified.delta);
+    const ProtocolResult inbox = session.FinalizeEpoch();
+    std::vector<uint64_t> counts(cfg.categories, 0);
+    for (const FinalReport& fr : inbox.server_inbox) {
+      ++counts[inbox.payloads->BucketAt(fr.id)];
+    }
+    const KRandomizedResponse rr(cfg.categories, session.epsilon0());
+    CHECK(rr.DebiasCounts(counts, inbox.server_inbox.size()) == all.estimate);
+
     CHECK(all.genuine_reports == 2000);
     CHECK(all.dropped_reports == 0);
     CHECK(all.estimate.size() == 8);
@@ -128,12 +157,15 @@ int main() {
     CHECK(std::isfinite(all.l1_error));
     CHECK(all.l1_error < 0.2);  // eps0=3, n=2000: comfortably recoverable
 
-    cfg.protocol = ReportingProtocol::kSingle;
-    const auto single = RunFrequencyEstimation(g, cfg);
-    CHECK(single.genuine_reports + single.dummy_reports == 2000);
-    CHECK(single.dropped_reports > 0);
+    Session single_session =
+        MakeSession(Graph(g), ReportingProtocol::kSingle, 0, 3.0);
+    const auto single = RunFrequencyEstimation(single_session, cfg);
+    CHECK(single.ok());
+    CHECK(single.value().genuine_reports + single.value().dummy_reports ==
+          2000);
+    CHECK(single.value().dropped_reports > 0);
     // Dummies + drops cost utility, same shape as the mean workload.
-    CHECK(all.l1_error < single.l1_error);
+    CHECK(all.l1_error < single.value().l1_error);
   }
 
   // Network summation over scalar payloads: unbiased-ish at kAll (every
@@ -143,13 +175,61 @@ int main() {
     Graph g = MakeRandomRegular(4000, 8, &rng);
     std::vector<double> values(4000);
     for (double& v : values) v = rng.UniformDouble();
-    const auto net =
-        SummationOverNetwork(g, values, 0.0, 1.0, 1.0, /*rounds=*/20, 99);
-    CHECK(net.delivered_reports == 4000);
-    CHECK(net.true_sum > 1500.0 && net.true_sum < 2500.0);
+    Session session = MakeSession(std::move(g), ReportingProtocol::kAll, 20);
+    const auto net = SummationOverNetwork(session, values, 0.0, 1.0, 99);
+    CHECK(net.ok());
+    CHECK(net.value().delivered_reports == 4000);
+    CHECK(net.value().true_sum > 1500.0 && net.value().true_sum < 2500.0);
     // n * Var(Laplace(1/eps0)) = 2n: |err| < 5 sigma = 5 sqrt(8000).
-    CHECK(std::fabs(net.estimate - net.true_sum) <
+    CHECK(std::fabs(net.value().estimate - net.value().true_sum) <
           5.0 * std::sqrt(2.0 * 4000.0));
+    CHECK(net.value().guarantee.epsilon == session.Guarantee().epsilon);
+  }
+
+  // Refusals are typed and leave the session as found: pending reports
+  // (they would join the estimator's epoch), zero frequency categories,
+  // and for the summation a kSingle session (its sum is unbiased only if
+  // every report arrives) or a value count other than the population.
+  {
+    Rng rng(13);
+    Graph g = MakeRandomRegular(500, 8, &rng);
+    Session session = MakeSession(Graph(g), ReportingProtocol::kAll);
+    CHECK(session.Step(3).ok());
+    CHECK(session.Ingest(0, Bytes{7}).ok());
+    const std::vector<double> values(500, 0.5);
+    const auto unchanged = [&session] {
+      CHECK(session.pending_reports() == 1);
+      CHECK(session.epoch() == 0);
+      CHECK(session.current_round() == 3);
+    };
+    CHECK(RunMeanEstimation(session, MeanEstimationConfig{})
+              .status()
+              .code() == StatusCode::kInvalidArgument);
+    unchanged();
+    CHECK(RunFrequencyEstimation(session, FrequencyEstimationConfig{})
+              .status()
+              .code() == StatusCode::kInvalidArgument);
+    unchanged();
+    CHECK(SummationOverNetwork(session, values, 0.0, 1.0, 1).status().code() ==
+          StatusCode::kInvalidArgument);
+    unchanged();
+
+    session.DiscardPending();
+    FrequencyEstimationConfig no_categories;
+    no_categories.categories = 0;
+    CHECK(RunFrequencyEstimation(session, no_categories).status().code() ==
+          StatusCode::kInvalidArgument);
+    CHECK(SummationOverNetwork(session, std::vector<double>(499, 0.5), 0.0,
+                               1.0, 1)
+              .status()
+              .code() == StatusCode::kInvalidArgument);
+    Session single = MakeSession(Graph(g), ReportingProtocol::kSingle);
+    CHECK(SummationOverNetwork(single, values, 0.0, 1.0, 1).status().code() ==
+          StatusCode::kInvalidArgument);
+    for (const Session* s : {&session, &single}) {
+      CHECK(s->pending_reports() == 0);
+      CHECK(s->epoch() == 0);
+    }
   }
 
   // Summation: the local model pays ~sqrt(n) over central.

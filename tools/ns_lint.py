@@ -34,6 +34,13 @@ Rules
   tsa-escape  NS_NO_THREAD_SAFETY_ANALYSIS outside util/annotations.h.
               The repo contract is zero escapes: an annotation that will
               not typecheck is a design finding to fix, not to suppress.
+  engine-entry
+              A call to an exchange-engine entry point (StartExchange,
+              ResumeExchange, RunExchange, SealAndInject, ObserveEachRound,
+              FinalizeProtocol) in a library dir other than shuffle/ and
+              core/.  Everything else runs an exchange through a Session
+              epoch, so the run a caller reads is the run the session
+              certified: same eps0, rounds, protocol and coins.
   marker      A malformed `ns-lint: allow(...)` marker — unknown rule id,
               or no justification after the colon.  An unjustified
               suppression is itself a finding.
@@ -58,11 +65,13 @@ import re
 import sys
 from pathlib import Path
 
-RULES = ("nondet", "narrow32", "nodiscard", "wire", "tsa-escape", "marker",
-         "schema")
+RULES = ("nondet", "narrow32", "nodiscard", "wire", "tsa-escape",
+         "engine-entry", "marker", "schema")
 
 LIB_DIRS = ("core", "shuffle", "dp", "graph", "estimation", "util", "data")
 NONDET_DIRS = ("shuffle", "dp", "graph")
+# The library dirs allowed to drive the exchange engine directly.
+ENGINE_DIRS = ("shuffle", "core")
 NONDET_FILES = ("util/rng.h",)
 
 # Directories never linted: generated trees and the deliberately-bad
@@ -80,6 +89,9 @@ NONDET_PATTERNS = (
 
 NARROW_RE = re.compile(r"static_cast<\s*(?:std::)?uint32_t\s*>")
 WIRE_RE = re.compile(r"\bmemcpy\s*\(|\breinterpret_cast\b")
+ENGINE_ENTRY_RE = re.compile(
+    r"\b(StartExchange|ResumeExchange|RunExchange|SealAndInject|"
+    r"ObserveEachRound|FinalizeProtocol)\s*\(")
 MARKER_RE = re.compile(r"ns-lint:\s*allow\(([^)]*)\)(:?)\s*(.*)")
 DECL_RE = re.compile(
     r"(?:^|[;{}]\s*|\s)(?:static\s+)?(Status|Expected<[^;={}()]*>)\s+"
@@ -208,6 +220,8 @@ def lint_file(rel, raw_lines, code_lines, status_names):
     in_nondet = rel.startswith(tuple(d + "/" for d in NONDET_DIRS)) or \
         rel in NONDET_FILES
     in_lib = rel.startswith(tuple(d + "/" for d in LIB_DIRS))
+    engine_barred = in_lib and \
+        not rel.startswith(tuple(d + "/" for d in ENGINE_DIRS))
 
     prev_code = ""
     for ln, code in enumerate(code_lines, 1):
@@ -234,6 +248,13 @@ def lint_file(rel, raw_lines, code_lines, status_names):
                 "raw memcpy/reinterpret_cast in shuffle/: write bytes as "
                 "explicit little-endian shifts, or justify the in-process "
                 "use with an allow marker"))
+        if engine_barred and not allowed(allows, ln, "engine-entry"):
+            for m in ENGINE_ENTRY_RE.finditer(code):
+                findings.append(Finding(
+                    rel, ln, "engine-entry",
+                    f"{m.group(1)}() outside shuffle/ and core/: run the "
+                    "exchange as one epoch of the caller's Session, so the "
+                    "run is the one its certificate prices"))
         if rel != "util/annotations.h" and \
                 "NS_NO_THREAD_SAFETY_ANALYSIS" in code and \
                 not allowed(allows, ln, "tsa-escape"):
